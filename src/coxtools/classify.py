@@ -4,8 +4,9 @@ Two independent engines:
 
 * a shape recognizer against the standard classification tables (paths,
   cycles, forks with prescribed label patterns), and
-* the exact signature of the cosine Gram matrix, computed over Q(sqrt2, sqrt3)
-  for crystallographic labels and by escalating interval arithmetic otherwise.
+* the exact signature of the cosine Gram matrix, computed by fraction-free
+  integer elimination over Z[sqrt2, sqrt3] for crystallographic labels and by
+  escalating interval arithmetic otherwise.
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
@@ -28,7 +29,7 @@ from .core import (
     is_infinite_label,
     restrict,
 )
-from .quadratic import QuadNum, cos_pi_over, inertia_exact
+from .quadratic import NEG_TWICE_COS, TWO, inertia_exact
 
 
 @dataclass(frozen=True)
@@ -97,21 +98,19 @@ class UndecidedSignature(Exception):
 
 
 def gram_matrix(system: CoxeterSystem):
-    """Cosine Gram matrix B(s,t) = -cos(pi/m(s,t)), B(s,s) = 1.
+    """Gram matrix of the cosine form B(s,t) = -cos(pi/m(s,t)), B(s,s) = 1.
 
-    Exact QuadNum entries for crystallographic systems; otherwise interval
-    enclosures at the current mpmath.iv precision.
+    For a crystallographic system this is exactly 2B: diagonal 2, entries
+    -2cos(pi/m) in {0, -1, -sqrt2, -sqrt3, -2}, each a 4-tuple of ints on the
+    basis 1, sqrt2, sqrt3, sqrt6 of Z[sqrt2, sqrt3] (see quadratic.py).  It has
+    the signature of B.  Otherwise it is B itself, as interval enclosures at
+    the current mpmath.iv precision.
     """
-    if is_crystallographic(system):
-        return _gram_exact(system)
-    return _gram_interval(system)
-
-
-def _gram_exact(system: CoxeterSystem) -> list[list[QuadNum]]:
+    if not is_crystallographic(system):
+        return _gram_interval(system)
     n = system.rank
-    one = QuadNum(1)
     return [
-        [one if i == j else -cos_pi_over(system.labels[i][j]) for j in range(n)]
+        [TWO if i == j else NEG_TWICE_COS[system.labels[i][j]] for j in range(n)]
         for i in range(n)
     ]
 
@@ -216,7 +215,7 @@ def signature(system: CoxeterSystem) -> Signature:
     for comp in components(system):
         sub = restrict(system, comp)
         if is_crystallographic(sub):
-            p, z, m = inertia_exact(_gram_exact(sub))
+            p, z, m = inertia_exact(gram_matrix(sub))
         else:
             p, z, m = _signature_interval(sub).as_tuple
         plus, zero, minus = plus + p, zero + z, minus + m

@@ -8,7 +8,7 @@ Diagram grammar (line oriented, `#` starts a comment):
 
 Unlisted pairs default to label 2.  Parse errors carry a 1-based line and
 column.  Exit codes: 0 success (and all claims passing), 1 claim failure,
-2 input error.
+2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -449,6 +449,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug or an undecided computation, which must not read as a failed
+        # claim; traceback is imported here to keep it off the start-up path
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

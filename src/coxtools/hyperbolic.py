@@ -112,7 +112,14 @@ def check_affine_criterion(system: CoxeterSystem) -> AffineCriterionCheck:
         is_simply_laced(system) or is_k_spherical(system, 3)
     )
     verdict = is_hyperbolic(system)
-    aff = has_affine_parabolic(system)
+    # is_hyperbolic searched for the affine parabolic unless a commuting pair
+    # settled the verdict first
+    if isinstance(verdict.witness, CommutingInfinitePair):
+        aff = has_affine_parabolic(system)
+    elif isinstance(verdict.witness, AffineSubset):
+        aff = verdict.witness.subset
+    else:
+        aff = None
     consistent = (not hypotheses_ok) or (verdict.hyperbolic == (aff is None))
     return AffineCriterionCheck(hypotheses_ok, verdict.hyperbolic, aff, consistent)
 

@@ -1,238 +1,147 @@
-"""Exact arithmetic in Q(sqrt2, sqrt3) with exact sign decisions.
+"""Exact integer arithmetic in Z[sqrt2, sqrt3] and exact inertia by Bareiss elimination.
 
-Every cosine cos(pi/m) for m in {2, 3, 4, 6} lies in this field (0, 1/2, sqrt2/2,
-sqrt3/2), and the infinite label contributes -1, so Gram matrices of
-crystallographic systems stay inside it under Gaussian elimination.
+Twice the cosine Gram matrix of a crystallographic system, 2B, has diagonal 2
+and off-diagonal entries -2cos(pi/m) in {0, -1, -sqrt2, -sqrt3, -2} for
+m in {2, 3, 4, 6, inf}, so it lies in the ring Z[sqrt2, sqrt3], and so does
+every minor of it.  An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 is the tuple
+(a, b, c, d) of Python ints.
 
-Elements are a + b*sqrt2 + c*sqrt3 + d*sqrt6 with Fraction coefficients.  Signs
-are decided exactly by recursive squaring: first the sign of u + v*sqrt2 over Q,
-then the sign of u + v*sqrt3 over Q(sqrt2).  No floating point is involved.
+Signs are decided exactly by recursive squaring: first the sign of u + v*sqrt2
+over Z, then the sign of u + v*sqrt3 over Z[sqrt2].  Inertia comes from
+symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968), whose
+divisions are exact, and from Jacobi's rule on the signs of successive leading
+minors.  No fraction and no float is ever formed.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from functools import total_ordering
-from typing import Union
+from .core import INFINITY
 
-_Rat = Union[int, Fraction]
+QuadInt = tuple[int, int, int, int]
 
+ZERO: QuadInt = (0, 0, 0, 0)
+ONE: QuadInt = (1, 0, 0, 0)
+TWO: QuadInt = (2, 0, 0, 0)
 
-def _sign_rat(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_sqrt2_pair(a: Fraction, b: Fraction) -> int:
-    """Exact sign of a + b*sqrt2."""
-    sa, sb = _sign_rat(a), _sign_rat(b)
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # opposite signs: compare a^2 against 2 b^2; equality would make sqrt2 rational
-    t = a * a - 2 * b * b
-    if t == 0:
-        raise ArithmeticError("sqrt2 cannot be rational")
-    return sa if t > 0 else -sa
-
-
-@total_ordering
-class QuadNum:
-    """a + b*sqrt2 + c*sqrt3 + d*sqrt6 over the rationals."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: _Rat = 0, b: _Rat = 0, c: _Rat = 0, d: _Rat = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("QuadNum is immutable")
-
-    # -- ring structure ---------------------------------------------------
-
-    def __add__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
-    def __rsub__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return QuadNum(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
-
-    __rmul__ = __mul__
-
-    def conj_sqrt2(self) -> "QuadNum":
-        """Field automorphism sending sqrt2 to -sqrt2."""
-        return QuadNum(self.a, -self.b, self.c, -self.d)
-
-    def conj_sqrt3(self) -> "QuadNum":
-        """Field automorphism sending sqrt3 to -sqrt3."""
-        return QuadNum(self.a, self.b, -self.c, -self.d)
-
-    def inverse(self) -> "QuadNum":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(sqrt2, sqrt3)")
-        u = self.conj_sqrt2()
-        v = self.conj_sqrt3()
-        w = u.conj_sqrt3()
-        num = u * v * w
-        norm = self * num  # rational: fixed by both automorphisms
-        assert norm.b == 0 and norm.c == 0 and norm.d == 0
-        inv_n = Fraction(1) / norm.a
-        return QuadNum(num.a * inv_n, num.b * inv_n, num.c * inv_n, num.d * inv_n)
-
-    def __truediv__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: "QuadNum | _Rat") -> "QuadNum":
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    # -- order structure ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}.
-
-        Write x = u + v*sqrt3 with u = a + b*sqrt2 and v = c + d*sqrt2.  When the
-        signs of u and v disagree, |u| vs |v|*sqrt3 is settled by comparing u^2
-        with 3 v^2, both of which live in Q(sqrt2).
-        """
-        su = _sign_sqrt2_pair(self.a, self.b)
-        sv = _sign_sqrt2_pair(self.c, self.d)
-        if sv == 0:
-            return su
-        if su == 0:
-            return sv
-        if su == sv:
-            return su
-        pa = self.a * self.a + 2 * self.b * self.b - 3 * (self.c * self.c + 2 * self.d * self.d)
-        pb = 2 * self.a * self.b - 6 * self.c * self.d
-        t = _sign_sqrt2_pair(pa, pb)
-        if t == 0:
-            raise ArithmeticError("sqrt3 cannot lie in Q(sqrt2)")
-        return su if t > 0 else sv
-
-    def __eq__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
-
-    def __lt__(self, other: "QuadNum | _Rat") -> bool:
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __float__(self) -> float:
-        return (
-            float(self.a)
-            + float(self.b) * math.sqrt(2)
-            + float(self.c) * math.sqrt(3)
-            + float(self.d) * math.sqrt(6)
-        )
-
-    def __repr__(self) -> str:
-        return f"QuadNum({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def _coerce(x: object) -> QuadNum:
-    if isinstance(x, QuadNum):
-        return x
-    if isinstance(x, bool):
-        return NotImplemented
-    if isinstance(x, (int, Fraction)):
-        return QuadNum(x)
-    return NotImplemented
-
-
-ZERO = QuadNum(0)
-ONE = QuadNum(1)
-
-# cos(pi/m) for the crystallographic labels; infinity contributes cos(0) = 1.
-_COS_EXACT = {
-    2: QuadNum(0),
-    3: QuadNum(Fraction(1, 2)),
-    4: QuadNum(0, Fraction(1, 2)),
-    6: QuadNum(0, 0, Fraction(1, 2)),
+# -2cos(pi/m), the off-diagonal entry of 2B, for each crystallographic label
+NEG_TWICE_COS: dict = {
+    2: ZERO,
+    3: (-1, 0, 0, 0),
+    4: (0, -1, 0, 0),
+    6: (0, 0, -1, 0),
+    INFINITY: (-2, 0, 0, 0),
 }
 
 
-def cos_pi_over(m: int | float) -> QuadNum:
-    """Exact cos(pi/m) for m in {2, 3, 4, 6} or infinity; ValueError otherwise."""
-    if m == math.inf:
-        return ONE
-    try:
-        return _COS_EXACT[m]
-    except (KeyError, TypeError):
-        raise ValueError(f"cos(pi/{m}) is not in Q(sqrt2, sqrt3)") from None
+def add(x: QuadInt, y: QuadInt) -> QuadInt:
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
 
 
-def inertia_exact(mat: list[list[QuadNum]]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix over Q(sqrt2, sqrt3).
+def sub(x: QuadInt, y: QuadInt) -> QuadInt:
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
-    Symmetric Gaussian elimination: congruence transforms preserve inertia, and
-    when every remaining diagonal entry vanishes but some off-diagonal entry
-    m[i][j] does not, adding row and column j to row and column i produces the
-    nonzero diagonal entry 2*m[i][j].
+
+def mul(x: QuadInt, y: QuadInt) -> QuadInt:
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+        a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _norm_form(y: QuadInt) -> tuple[QuadInt, int]:
+    """(num, norm) with y * num == norm, an integer; num is ONE for rational y.
+
+    num is the product of the three nontrivial conjugates of y, so norm is the
+    field norm, which is fixed by both automorphisms and hence rational.
+    """
+    a, b, c, d = y
+    if b == c == d == 0:
+        if a == 0:
+            raise ZeroDivisionError("division by zero in Z[sqrt2, sqrt3]")
+        return ONE, a
+    num = mul(mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+    return num, mul(y, num)[0]
+
+
+def _divide(x: QuadInt, num: QuadInt, norm: int) -> QuadInt:
+    if num is not ONE:
+        x = mul(x, num)
+    elif norm == 1:
+        return x
+    out = []
+    for v in x:
+        q, r = divmod(v, norm)
+        if r:
+            raise ArithmeticError("inexact division in Z[sqrt2, sqrt3]")
+        out.append(q)
+    return tuple(out)
+
+
+def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
+    """x / y when it lies in Z[sqrt2, sqrt3]; ArithmeticError when it does not."""
+    return _divide(x, *_norm_form(y))
+
+
+def _sign_sqrt2(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt2; a^2 == 2b^2 only when both vanish."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > 2 * b * b else sb
+
+
+def sign(x: QuadInt) -> int:
+    """Exact sign in {-1, 0, 1}.
+
+    Write x = u + v*sqrt3 with u = a + b*sqrt2 and v = c + d*sqrt2.  When the
+    signs of u and v disagree, |u| vs |v|*sqrt3 is settled by the sign of
+    u^2 - 3v^2, which lives in Z[sqrt2] and is never zero.
+    """
+    a, b, c, d = x
+    su = _sign_sqrt2(a, b)
+    sv = _sign_sqrt2(c, d)
+    if sv == 0 or su == sv:
+        return su
+    if su == 0:
+        return sv
+    t = _sign_sqrt2(a * a + 2 * b * b - 3 * c * c - 6 * d * d, 2 * (a * b - 3 * c * d))
+    return su if t > 0 else sv
+
+
+def inertia_exact(mat: list[list[QuadInt]]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix over Z[sqrt2, sqrt3].
+
+    Symmetric Bareiss elimination: after k pivots every active entry is the
+    minor bordering the k pivot rows and columns, so the update
+    S[x][y] = (d*S[x][y] - S[x][p]*S[p][y]) / d_prev divides exactly, and the
+    k-th pivot d_k is the k-th leading minor in pivot order.  By Jacobi's rule
+    it counts as positive iff d_k and d_{k-1} have the same sign (d_0 = 1).
+    When every active diagonal entry vanishes but some m[i][j] does not,
+    adding row and column j to row and column i is a unimodular congruence
+    that leaves the pivot minors alone and produces the diagonal entry
+    2*m[i][j].
     """
     n = len(mat)
     m = [row[:] for row in mat]
     active = list(range(n))
     plus = minus = zero = 0
+    num, norm, s_prev = ONE, 1, 1
     while active:
-        piv = next((i for i in active if m[i][i].sign() != 0), None)
+        piv = next((i for i in active if m[i][i] != ZERO), None)
         if piv is None:
             pair = next(
                 (
                     (i, j)
                     for ai, i in enumerate(active)
                     for j in active[ai + 1 :]
-                    if not m[i][j].is_zero()
+                    if m[i][j] != ZERO
                 ),
                 None,
             )
@@ -241,24 +150,24 @@ def inertia_exact(mat: list[list[QuadNum]]) -> tuple[int, int, int]:
                 break
             i, j = pair
             for k in active:
-                m[i][k] = m[i][k] + m[j][k]
+                m[i][k] = add(m[i][k], m[j][k])
             for k in active:
-                m[k][i] = m[k][i] + m[k][j]
+                m[k][i] = add(m[k][i], m[k][j])
             piv = i
-        s = m[piv][piv].sign()
-        if s > 0:
+        d = m[piv][piv]
+        s = sign(d)
+        if s == s_prev:
             plus += 1
         else:
             minus += 1
-        d = m[piv][piv]
         rest = [k for k in active if k != piv]
-        col = {x: m[x][piv] for x in rest}
-        for x in rest:
-            if col[x].is_zero():
-                continue
-            f = col[x] / d
-            for y in rest:
-                if not col[y].is_zero():
-                    m[x][y] = m[x][y] - f * col[y]
+        col = m[piv]
+        for ai, x in enumerate(rest):
+            row, cx = m[x], col[x]
+            for y in rest[ai:]:
+                v = _divide(sub(mul(d, row[y]), mul(cx, col[y])), num, norm)
+                row[y] = m[y][x] = v
+        num, norm = _norm_form(d)
+        s_prev = s
         active = rest
     return plus, zero, minus

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from coxtools import (
     INFINITY,
@@ -30,6 +31,7 @@ from coxtools.catalog import (
     affine_E,
     affine_F4,
     affine_G2,
+    cycle_system,
     overextended_E8,
     path_system,
     type_A,
@@ -203,6 +205,104 @@ def test_signature_matches_float_oracle(s):
     if expected is None:
         return
     assert signature(s).as_tuple == expected
+
+
+# -- exact oracle for the crystallographic engine ------------------------------
+
+_SQRT_FIELD = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3))
+
+
+def _sympy_signature(system):
+    """Signature from the exact characteristic polynomial of the cosine Gram.
+
+    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs on the exact coefficients counts the positive roots of p(x) and of
+    p(-x) exactly; the zero eigenvalues are the trailing zero coefficients.
+    """
+    n = system.rank
+
+    def entry(i, j):
+        if i == j:
+            return sympy.Integer(1)
+        m = system.labels[i][j]
+        return sympy.Integer(-1) if math.isinf(m) else -sympy.cos(sympy.pi / m)
+
+    dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, entry)).convert_to(_SQRT_FIELD)
+    coeffs = dm.charpoly()  # leading coefficient first
+    n_zero = 0
+    while coeffs and _SQRT_FIELD.is_zero(coeffs[-1]):
+        coeffs.pop()
+        n_zero += 1
+
+    def sign_changes(values):
+        signs = []
+        for c in values:
+            if _SQRT_FIELD.is_zero(c):
+                continue
+            positive = _SQRT_FIELD.to_sympy(c).is_positive
+            assert positive is not None
+            signs.append(positive)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    k = len(coeffs) - 1
+    n_plus = sign_changes(coeffs)
+    n_minus = sign_changes([c if (k - i) % 2 == 0 else -c for i, c in enumerate(coeffs)])
+    return n_plus, n_zero, n_minus
+
+
+@st.composite
+def crystallographic_systems(draw, max_rank=6):
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from([2, 3, 4, 6, INFINITY]))
+    return CoxeterSystem.from_rows(mat)
+
+
+# connected, singular and indefinite: each has signature (3, 1, 1)
+SINGULAR_INDEFINITE = [
+    path_system([INFINITY, 3, 3, INFINITY]),
+    path_system([INFINITY, 4, 4, INFINITY]),
+    path_system([INFINITY, 3, 6, INFINITY]),
+    path_system([INFINITY, 6, 6, INFINITY]),
+    path_system([INFINITY] * 4),
+    CoxeterSystem.from_edges(
+        5, {(0, 4): INFINITY, (1, 2): 3, (1, 3): 3, (1, 4): 3, (2, 3): INFINITY}
+    ),
+]
+
+SINGULAR_CASES = (
+    [system for system, _, _ in AFFINE_CASES]
+    + [cycle_system([3] * n) for n in (3, 4, 7, 12)]
+    + SINGULAR_INDEFINITE
+    # a disconnected sum of singular components
+    + [CoxeterSystem.from_edges(6, {(0, 1): 4, (1, 2): 4, (3, 4): 6, (4, 5): 3})]
+)
+
+
+@pytest.mark.parametrize("system", SINGULAR_CASES, ids=repr)
+def test_signature_exact_oracle_on_singular_systems(system):
+    want = _sympy_signature(system)
+    assert want[1] > 0
+    if system in SINGULAR_INDEFINITE:
+        assert len(classify(system)) == 1 and want == (3, 1, 1)
+    assert signature(system).as_tuple == want
+
+
+@given(crystallographic_systems(max_rank=6))
+@settings(max_examples=50)
+def test_signature_matches_exact_sympy_oracle(s):
+    assert signature(s).as_tuple == _sympy_signature(s)
+
+
+def test_signature_large_rank_known_values():
+    # Bareiss divisions keep the entries at the size of minors; without them
+    # the rank-40 mixed path does not finish
+    assert signature(type_A(40)).as_tuple == (40, 0, 0)
+    assert signature(affine_A(39)).as_tuple == (39, 1, 0)
+    mixed = path_system([(4, 3, 6, 3)[i % 4] for i in range(39)])
+    assert signature(mixed).as_tuple == _float_signature(mixed) == (30, 0, 10)
 
 
 def test_undecided_signature_raises_on_exact_kernel():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from coxtools import INFINITY, CoxeterSystem, Report, standard_system
+from coxtools import INFINITY, CoxeterSystem, Report, UndecidedSignature, standard_system
 from coxtools.cli import DiagramParseError, main, parse_diagram, render_diagram
 from conftest import coxeter_systems
 
@@ -275,6 +275,20 @@ def test_verify_claim_failure_exits_one(monkeypatch, capsys):
     out, _ = capsys.readouterr()
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_verify_internal_error_exits_three(monkeypatch, capsys):
+    def undecided(*args, **kwargs):
+        raise UndecidedSignature("sign of a pivot undecided")
+
+    monkeypatch.setattr("coxtools.cli.verify_engine_agreement", undecided)
+    code = main(["verify", "--campaign", "engine-agreement", "--labels", "2,3,5,inf"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "internal error: UndecidedSignature: sign of a pivot undecided"
+    )
 
 
 def test_module_entry_point_runs():
