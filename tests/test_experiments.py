@@ -4,7 +4,10 @@ import pytest
 
 from coxtools import (
     INFINITY,
+    EnumFilter,
     Report,
+    enumerate_minimal_infinite,
+    enumerate_quasi_minimal,
     verify_affine_criterion,
     verify_engine_agreement,
     verify_size_bounds,
@@ -130,3 +133,58 @@ def test_campaigns_are_deterministic_across_jobs():
     b = verify_size_bounds(6, frozenset({2, 3}), jobs=3)
     assert a.canonical_json() == b.canonical_json()
     assert a.content_hash() == b.content_hash()
+
+
+# -- pinned report hashes -------------------------------------------------------
+#
+# One small scope per campaign (both affine-criterion modes), with the
+# content hash each report had before the campaign pipeline was consolidated.
+# Any change to enumeration order, pruning or row assembly moves a hash.
+
+_QUASI = dict(all_proper_parabolics_spherical_or_affine=True)
+
+PINNED_SCOPES = {
+    "affine-criterion/simply-laced/r6": (
+        lambda jobs: verify_affine_criterion("simply-laced", 6, jobs=jobs),
+        "af54e1ec67ddd835232b101a9ee4f72f41631d27934fd8d516b84d581ed58312",
+    ),
+    "affine-criterion/3-spherical-crystallographic/r5": (
+        lambda jobs: verify_affine_criterion(
+            "3-spherical-crystallographic", 5, jobs=jobs
+        ),
+        "9c49c60428bf95d7dbfb6f058c144b7feee19f2b2581ba637cbefedfc346127e",
+    ),
+    "engine-agreement/2,3,4,6/r4": (
+        lambda jobs: verify_engine_agreement(4, frozenset({2, 3, 4, 6}), jobs=jobs),
+        "9ed9248e3f7ae7e92a4f854334192ba349ed4bd859b4ca235360ac4167ca6b73",
+    ),
+    "size-bounds/2,3/r8": (
+        lambda jobs: verify_size_bounds(8, frozenset({2, 3}), jobs=jobs),
+        "c5e2e6647ce8518ebbbba0a545faff695cc2e543af5ea73cefc273bea981f879",
+    ),
+    "size-bounds/2,3,4,6/r5": (
+        lambda jobs: verify_size_bounds(5, frozenset({2, 3, 4, 6}), jobs=jobs),
+        "dab5b224c4d87b9b283c11089ccdb872822a9f2970494e8134bd4411e009504a",
+    ),
+    "minimal-infinite/2,3,4,5,6,inf/r5": (
+        lambda jobs: enumerate_minimal_infinite(
+            EnumFilter(label_set=frozenset({2, 3, 4, 5, 6, INFINITY})), 5, jobs=jobs
+        ),
+        "346deffe20f64bd5aa98b997ddf35e2ee4b505362c40b8c5d837eeaa86f5dcb6",
+    ),
+    "quasi-minimal/2,3,4/r6": (
+        lambda jobs: enumerate_quasi_minimal(
+            EnumFilter(label_set=frozenset({2, 3, 4}), **_QUASI), 6, jobs=jobs
+        ),
+        "1bb34bfb299662234445acded77b647829cdeb90efac6dc9b0bfe4e890d32def",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scope", sorted(PINNED_SCOPES))
+def test_report_hash_is_pinned(scope, jobs):
+    run, pinned = PINNED_SCOPES[scope]
+    rep = run(jobs)
+    assert rep.passed()
+    assert rep.content_hash() == pinned
