@@ -3,7 +3,9 @@
 
 The default scopes match the acceptance suite: they finish in a few minutes
 on one core and each report is content-addressed, so two runs can be compared
-by hash alone.  Use --jobs to parallelize the enumeration inner loops; the
+by hash alone.  Use --jobs to run each campaign on one pool of that many
+worker processes, which expands the parents of every rank and computes the
+per-class rows of the affine-criterion and engine-agreement campaigns; the
 reports are byte-identical regardless of the worker count.
 """
 

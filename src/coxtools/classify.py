@@ -213,7 +213,7 @@ def signature(system: CoxeterSystem) -> Signature:
     """Exact signature of the cosine form, summed over connected components."""
     plus = zero = minus = 0
     for comp in components(system):
-        sub = restrict(system, comp)
+        sub = system if len(comp) == system.rank else restrict(system, comp)
         if is_crystallographic(sub):
             p, z, m = inertia_exact(gram_matrix(sub))
         else:
@@ -488,6 +488,15 @@ def _spherical_levels(system: CoxeterSystem) -> tuple[int, list[tuple[int, ...]]
 def max_spherical_rank(system: CoxeterSystem) -> int:
     """Largest size of a generating subset spanning a finite subgroup."""
     return _spherical_levels(system)[0]
+
+
+def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """All subsets inducing an infinite subgroup whose proper subsets are finite.
+
+    Every infinite subset contains one of these, and they are pairwise
+    incomparable; returned in (size, lex) order.
+    """
+    return _spherical_levels(system)[1]
 
 
 # -- Kazhdan threshold ----------------------------------------------------------

@@ -26,16 +26,13 @@ from .classify import (
     is_spherical,
     kazhdan_threshold,
     max_spherical_rank,
-)
-from .core import INFINITY, CoxeterSystem, Label, label_text
-from .enumeration import (
-    EnumFilter,
-    _generate_levels,
-    enumerate_minimal_infinite,
-    enumerate_quasi_minimal,
     minimal_infinite_subsets,
 )
+from .core import INFINITY, CoxeterSystem, Label, label_text
+from .enumeration import EnumFilter, iter_levels, worker_map
 from .experiments import (
+    enumerate_minimal_infinite,
+    enumerate_quasi_minimal,
     verify_affine_criterion,
     verify_engine_agreement,
     verify_size_bounds,
@@ -307,58 +304,57 @@ def _filter_from_flags(ns: argparse.Namespace) -> EnumFilter:
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
     filt = _filter_from_flags(ns)
-    levels = _generate_levels(ns.max_rank, filt, jobs=ns.jobs)
+    with worker_map(ns.jobs) as imap:
+        levels = list(iter_levels(filt, ns.max_rank, imap))
     payload = {
         "filter": filt.payload(),
-        "per_rank": {str(k): len(v) for k, v in sorted(levels.items())},
-        "classes": {
-            str(k): [system_payload(s) for s in v] for k, v in sorted(levels.items())
-        },
+        "per_rank": {str(k): len(v) for k, v in levels},
+        "classes": {str(k): [system_payload(s) for s in v] for k, v in levels},
     }
     lines = []
-    for k in sorted(levels):
-        lines.append(f"rank {k}: {len(levels[k])} class(es)")
-        lines.extend(f"  {_edge_text(s)}" for s in levels[k])
+    for k, v in levels:
+        lines.append(f"rank {k}: {len(v)} class(es)")
+        lines.extend(f"  {_edge_text(s)}" for s in v)
     _emit(payload, ns, lines)
     return 0
 
 
-_CAMPAIGNS = (
-    "affine-criterion",
-    "engine-agreement",
-    "size-bounds",
-    "minimal-infinite",
-    "quasi-minimal",
-)
-
-_CAMPAIGN_DEFAULT_RANK = {
-    "affine-criterion": None,
-    "engine-agreement": 6,
-    "size-bounds": 11,
-    "minimal-infinite": 8,
-    "quasi-minimal": 11,
+# campaign -> (default max rank, runner(ns, labels, max_rank)); the runners
+# look the campaign functions up when called, so tests can replace them
+_CAMPAIGNS = {
+    "affine-criterion": (
+        None,
+        lambda ns, labels, r: verify_affine_criterion(ns.mode, r, jobs=ns.jobs),
+    ),
+    "engine-agreement": (
+        6,
+        lambda ns, labels, r: verify_engine_agreement(r, labels, jobs=ns.jobs),
+    ),
+    "size-bounds": (
+        11,
+        lambda ns, labels, r: verify_size_bounds(r, labels, jobs=ns.jobs),
+    ),
+    "minimal-infinite": (
+        8,
+        lambda ns, labels, r: enumerate_minimal_infinite(
+            EnumFilter(label_set=labels), r, jobs=ns.jobs
+        ),
+    ),
+    "quasi-minimal": (
+        11,
+        lambda ns, labels, r: enumerate_quasi_minimal(
+            EnumFilter(label_set=labels, all_proper_parabolics_spherical_or_affine=True),
+            r,
+            jobs=ns.jobs,
+        ),
+    ),
 }
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    labels = _parse_labels(ns.labels)
-    max_rank = ns.max_rank
-    if max_rank is None:
-        max_rank = _CAMPAIGN_DEFAULT_RANK[ns.campaign]
-    if ns.campaign == "affine-criterion":
-        report = verify_affine_criterion(ns.mode, max_rank, jobs=ns.jobs)
-    elif ns.campaign == "engine-agreement":
-        report = verify_engine_agreement(max_rank, labels, jobs=ns.jobs)
-    elif ns.campaign == "size-bounds":
-        report = verify_size_bounds(max_rank, labels, jobs=ns.jobs)
-    elif ns.campaign == "minimal-infinite":
-        filt = EnumFilter(label_set=labels)
-        report = enumerate_minimal_infinite(filt, max_rank, jobs=ns.jobs)
-    else:
-        filt = EnumFilter(
-            label_set=labels, all_proper_parabolics_spherical_or_affine=True
-        )
-        report = enumerate_quasi_minimal(filt, max_rank, jobs=ns.jobs)
+    default_rank, run = _CAMPAIGNS[ns.campaign]
+    max_rank = default_rank if ns.max_rank is None else ns.max_rank
+    report = run(ns, _parse_labels(ns.labels), max_rank)
 
     payload = report.to_dict()
     claims = report.results.get("claims", [])
@@ -422,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("--campaign", choices=_CAMPAIGNS, required=True)
+    p.add_argument("--campaign", choices=tuple(_CAMPAIGNS), required=True)
     p.add_argument(
         "--mode",
         choices=("simply-laced", "3-spherical-crystallographic"),

@@ -6,21 +6,23 @@ hereditary filters pass.  Every connected diagram has a non-cut vertex, and
 all the supported filters survive deleting one, so filtering at every level
 loses nothing.
 
-The minimal-infinite and quasi-minimal searches ride the same driver with
-sharper parent pools: a diagram all of whose proper subdiagrams are spherical
-(resp. spherical-or-affine) loses a non-cut vertex to a diagram that is
-itself spherical (resp. spherical-or-affine), so only the classical families
-ever need extending and the search stays small even at rank 11.
+A filter also decides which admitted diagrams are extended at all
+(`EnumFilter.extendable`).  The minimal-infinite and quasi-minimal searches
+use this to sharpen the parent pools: a diagram all of whose proper
+subdiagrams are spherical (resp. spherical-or-affine) loses a non-cut vertex
+to a diagram that is itself spherical (resp. spherical-or-affine), so only
+the classical families ever need extending and the search stays small even
+at rank 11.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import product
 from multiprocessing import Pool
-from typing import Iterable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     INFINITY,
@@ -28,19 +30,11 @@ from .core import (
     Label,
     components,
     is_connected,
-    is_crystallographic,
     is_infinite_label,
-    is_simply_laced,
     label_sort_key,
     restrict,
 )
-from .classify import (
-    _spherical_levels,
-    classify_irreducible,
-    is_k_spherical,
-    is_spherical,
-)
-from .report import Report, system_payload
+from .classify import classify_irreducible, is_k_spherical
 
 RANK_CAP = 11
 
@@ -190,6 +184,14 @@ class EnumFilter:
             return False
         return True
 
+    def extendable(self, system: CoxeterSystem) -> bool:
+        """Whether the children of an admitted system are worth generating."""
+        # children of anything indefinite contain it as a proper subdiagram
+        # and are rejected anyway, so those subtrees can be cut up front
+        if self.all_proper_parabolics_spherical_or_affine:
+            return _sph_or_aff(system)
+        return True
+
     def payload(self) -> dict:
         return {
             "label_set": [
@@ -223,82 +225,63 @@ def _all_proper_ok(system: CoxeterSystem) -> bool:
     )
 
 
-def _is_minimal_infinite(system: CoxeterSystem) -> bool:
-    if is_spherical(system):
-        return False
-    n = system.rank
-    verts = range(n)
-    return all(
-        is_spherical(restrict(system, tuple(j for j in verts if j != v)))
-        for v in verts
-    )
-
-
 # -- augmentation driver ------------------------------------------------------
 
 
-def _extend(parent: CoxeterSystem, vec: tuple[Label, ...]) -> CoxeterSystem:
-    n = parent.rank
-    rows = [list(parent.labels[i]) + [vec[i]] for i in range(n)]
-    rows.append(list(vec) + [1])
-    return CoxeterSystem.from_rows(rows)
+@contextmanager
+def worker_map(jobs: int = 1) -> Iterator[Callable]:
+    """The map one campaign runs its work through, in input order.
+
+    The builtin map for jobs=1, else the ordered imap of a single pool of
+    `jobs` worker processes that lives as long as the context.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if jobs == 1:
+        yield map
+        return
+    with Pool(processes=jobs) as pool:
+        yield pool.imap
 
 
-def _expand_parent(parent: CoxeterSystem, filt: EnumFilter, mode: str) -> list[bytes]:
+def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     """All admissible one-vertex extensions of one parent, as canonical codes."""
-    labels = filt.effective_labels()
-    n = parent.rank
+    rows = [list(row) for row in parent.labels]
     out = set()
-    for vec in product(labels, repeat=n):
-        if filt.connected_only and all(m == 2 for m in vec):
+    for vec in product(filt.effective_labels(), repeat=parent.rank):
+        # a new vertex joined to nothing leaves a nonempty parent disconnected
+        if filt.connected_only and rows and all(m == 2 for m in vec):
             continue
-        child = _extend(parent, vec)
-        if mode == "minimal-infinite":
-            keep = is_connected(child) and (
-                is_spherical(child) or _is_minimal_infinite(child)
-            )
-        else:
-            keep = filt.admits(child)
-        if keep:
+        child = CoxeterSystem.from_rows(
+            [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
+        )
+        if filt.admits(child):
             out.add(canonical_code(child))
     return sorted(out)
 
 
-def _extendable(system: CoxeterSystem, filt: EnumFilter, mode: str) -> bool:
-    if mode == "minimal-infinite":
-        return is_spherical(system)
-    if filt.all_proper_parabolics_spherical_or_affine:
-        # children of anything indefinite contain it as a proper subdiagram
-        # and are rejected anyway, so those subtrees can be cut up front
-        return _sph_or_aff(system)
-    return True
+def iter_levels(
+    filt: EnumFilter, max_rank: int, imap: Callable = map
+) -> Iterator[tuple[int, list[CoxeterSystem]]]:
+    """Yield (rank, representatives) for every rank 1..max_rank.
 
-
-def _generate_levels(
-    max_rank: int, filt: EnumFilter, jobs: int = 1, mode: str = "filter"
-) -> dict[int, list[CoxeterSystem]]:
-    """Representatives per rank, in canonical-code order."""
-    if max_rank > RANK_CAP:
-        raise ValueError(f"rank {max_rank} exceeds the supported cap of {RANK_CAP}")
-    levels: dict[int, list[CoxeterSystem]] = {}
-    if max_rank < 1:
-        return levels
-    seed = CoxeterSystem.from_edges(1, {})
-    keep_seed = is_spherical(seed) if mode == "minimal-infinite" else filt.admits(seed)
-    levels[1] = [seed] if keep_seed else []
-    for k in range(2, max_rank + 1):
-        parents = [s for s in levels[k - 1] if _extendable(s, filt, mode)]
-        work = partial(_expand_parent, filt=filt, mode=mode)
-        if jobs > 1 and len(parents) > 1:
-            with Pool(processes=jobs) as pool:
-                chunks = pool.map(work, parents, chunksize=1)
-        else:
-            chunks = [work(p) for p in parents]
+    Each level lists one representative per class passing filt, in
+    canonical-code order, and is built from the members of the level below
+    that filt.extendable keeps, starting from the empty diagram.  The parents
+    are expanded through imap (the builtin map, or a worker_map), so the
+    output never depends on it.  Raises ValueError, once iterated, unless
+    0 <= max_rank <= RANK_CAP.
+    """
+    if not 0 <= max_rank <= RANK_CAP:
+        raise ValueError(f"rank {max_rank} is outside 0..{RANK_CAP}")
+    level = [CoxeterSystem.empty()]
+    for k in range(1, max_rank + 1):
+        parents = [s for s in level if filt.extendable(s)]
         codes = set()
-        for chunk in chunks:
+        for chunk in imap(partial(_expand_parent, filt=filt), parents):
             codes.update(chunk)
-        levels[k] = [system_from_code(c) for c in sorted(codes)]
-    return levels
+        level = [system_from_code(c) for c in sorted(codes)]
+        yield k, level
 
 
 def enumerate_diagrams(
@@ -308,117 +291,7 @@ def enumerate_diagrams(
     if rank == 0:
         empty = CoxeterSystem.empty()
         return [empty] if filt.admits(empty) else []
-    return _generate_levels(rank, filt, jobs).get(rank, [])
-
-
-def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
-    """All subsets inducing an infinite subgroup whose proper subsets are finite.
-
-    Every infinite subset contains one of these, and they are pairwise
-    incomparable; returned in (size, lex) order.
-    """
-    return _spherical_levels(system)[1]
-
-
-# -- campaign-shaped enumerations ----------------------------------------------
-
-
-def enumerate_minimal_infinite(
-    filt: EnumFilter, max_rank: int, jobs: int = 1
-) -> Report:
-    """All connected minimal infinite classes up to max_rank, with the three
-    structural claims about the non-affine ones evaluated within the label set.
-    """
-    if max_rank > 8:
-        raise ValueError("minimal-infinite enumeration is capped at rank 8")
-    t0 = time.monotonic()
-    levels = _generate_levels(max_rank, filt, jobs, mode="minimal-infinite")
-    targets: list[CoxeterSystem] = []
-    for k in sorted(levels):
-        targets.extend(
-            s for s in levels[k] if _is_minimal_infinite(s) and filt.admits(s)
-        )
-
-    affine = [s for s in targets if classify_irreducible(s).is_affine]
-    non_affine = [s for s in targets if not classify_irreducible(s).is_affine]
-    three_sph_cryst = [
-        s for s in non_affine if is_crystallographic(s) and is_k_spherical(s, 3)
-    ]
-
-    per_rank: dict[str, dict[str, int]] = {}
-    for k in sorted(levels):
-        pa = sum(1 for s in affine if s.rank == k)
-        pn = sum(1 for s in non_affine if s.rank == k)
-        per_rank[str(k)] = {"affine": pa, "non_affine": pn}
-
-    claims = [
-        {
-            "claim": "every non-affine minimal infinite class has rank <= 5",
-            "passed": all(s.rank <= 5 for s in non_affine),
-            "details": {
-                "violations": [system_payload(s) for s in non_affine if s.rank > 5]
-            },
-        },
-        {
-            "claim": "no non-affine minimal infinite class is simply laced",
-            "passed": all(not is_simply_laced(s) for s in non_affine),
-            "details": {
-                "violations": [
-                    system_payload(s) for s in non_affine if is_simply_laced(s)
-                ]
-            },
-        },
-    ]
-    results = {
-        "per_rank": per_rank,
-        "affine_classes": [
-            dict(system_payload(s), type=str(classify_irreducible(s))) for s in affine
-        ],
-        "non_affine_classes": [system_payload(s) for s in non_affine],
-        "three_spherical_crystallographic_non_affine": [
-            system_payload(s) for s in three_sph_cryst
-        ],
-        "three_spherical_crystallographic_non_affine_count": len(three_sph_cryst),
-        "claims": claims,
-    }
-    return Report(
-        campaign="minimal-infinite",
-        parameters={"max_rank": max_rank, "filter": filt.payload()},
-        results=results,
-        duration_seconds=time.monotonic() - t0,
-        jobs=jobs,
-    )
-
-
-def enumerate_quasi_minimal(filt: EnumFilter, max_rank: int, jobs: int = 1) -> Report:
-    """All connected non-spherical non-affine classes whose proper subgroups
-    are all spherical-or-affine, up to max_rank.
-    """
-    if not filt.all_proper_parabolics_spherical_or_affine:
-        raise ValueError(
-            "the filter must set all_proper_parabolics_spherical_or_affine"
-        )
-    if max_rank > RANK_CAP:
-        raise ValueError(f"rank {max_rank} exceeds the supported cap of {RANK_CAP}")
-    filt = replace(filt, connected_only=True)
-    t0 = time.monotonic()
-    levels = _generate_levels(max_rank, filt, jobs)
-    per_rank: dict[str, int] = {}
-    classes: list[CoxeterSystem] = []
-    for k in sorted(levels):
-        found = [s for s in levels[k] if classify_irreducible(s).is_indefinite]
-        per_rank[str(k)] = len(found)
-        classes.extend(found)
-    results = {
-        "per_rank": per_rank,
-        "max_rank_attained": max((s.rank for s in classes), default=0),
-        "classes": [system_payload(s) for s in classes],
-        "claims": [],
-    }
-    return Report(
-        campaign="quasi-minimal",
-        parameters={"max_rank": max_rank, "filter": filt.payload()},
-        results=results,
-        duration_seconds=time.monotonic() - t0,
-        jobs=jobs,
-    )
+    with worker_map(jobs) as imap:
+        for _, level in iter_levels(filt, rank, imap):
+            pass
+    return level

@@ -9,17 +9,19 @@ offending diagrams so they can be replayed by hand.
 from __future__ import annotations
 
 import time
-from multiprocessing import Pool
+from dataclasses import replace
 from typing import Optional
 
-from .core import CoxeterSystem, label_sort_key
-from .classify import classify_irreducible, signature
-from .enumeration import (
-    EnumFilter,
-    _generate_levels,
-    enumerate_minimal_infinite,
-    enumerate_quasi_minimal,
+from .core import (
+    CoxeterSystem,
+    is_connected,
+    is_crystallographic,
+    is_simply_laced,
+    label_sort_key,
+    restrict,
 )
+from .classify import classify_irreducible, is_k_spherical, is_spherical, signature
+from .enumeration import EnumFilter, iter_levels, worker_map
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
 
@@ -35,13 +37,6 @@ def _criterion_row(system: CoxeterSystem) -> dict:
         "has_affine": chk.affine_parabolic is not None,
         "consistent": chk.consistent,
     }
-
-
-def _map_rows(worker, systems, jobs: int) -> list[dict]:
-    if jobs > 1 and len(systems) > 1:
-        with Pool(processes=jobs) as pool:
-            return pool.map(worker, systems, chunksize=8)
-    return [worker(s) for s in systems]
 
 
 def verify_affine_criterion(
@@ -66,19 +61,18 @@ def verify_affine_criterion(
     else:
         filt = EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3)
     t0 = time.monotonic()
-    levels = _generate_levels(max_rank, filt, jobs)
-
     per_rank: dict[str, dict[str, int]] = {}
     bad: list[dict] = []
-    for k in sorted(levels):
-        rows = _map_rows(_criterion_row, levels[k], jobs)
-        per_rank[str(k)] = {
-            "classes": len(rows),
-            "in_hypothesis": sum(1 for r in rows if r["in_hypothesis"]),
-            "hyperbolic": sum(1 for r in rows if r["hyperbolic"]),
-            "inconsistent": sum(1 for r in rows if not r["consistent"]),
-        }
-        bad.extend(r for r in rows if not r["consistent"])
+    with worker_map(jobs) as imap:
+        for k, level in iter_levels(filt, max_rank, imap):
+            rows = list(imap(_criterion_row, level))
+            per_rank[str(k)] = {
+                "classes": len(rows),
+                "in_hypothesis": sum(1 for r in rows if r["in_hypothesis"]),
+                "hyperbolic": sum(1 for r in rows if r["hyperbolic"]),
+                "inconsistent": sum(1 for r in rows if not r["consistent"]),
+            }
+            bad.extend(r for r in rows if not r["consistent"])
 
     claims = [
         {
@@ -126,17 +120,16 @@ def verify_engine_agreement(
         raise ValueError("engine agreement is capped at rank 8")
     filt = EnumFilter(label_set=frozenset(label_set))
     t0 = time.monotonic()
-    levels = _generate_levels(max_rank, filt, jobs)
-
     per_rank: dict[str, dict[str, int]] = {}
     bad: list[dict] = []
-    for k in sorted(levels):
-        rows = _map_rows(_agreement_row, levels[k], jobs)
-        per_rank[str(k)] = {
-            "classes": len(rows),
-            "disagreements": sum(1 for r in rows if not r["agree"]),
-        }
-        bad.extend(r for r in rows if not r["agree"])
+    with worker_map(jobs) as imap:
+        for k, level in iter_levels(filt, max_rank, imap):
+            rows = list(imap(_agreement_row, level))
+            per_rank[str(k)] = {
+                "classes": len(rows),
+                "disagreements": sum(1 for r in rows if not r["agree"]),
+            }
+            bad.extend(r for r in rows if not r["agree"])
 
     claims = [
         {
@@ -149,6 +142,127 @@ def verify_engine_agreement(
         campaign="engine-agreement",
         parameters={"max_rank": max_rank, "filter": filt.payload()},
         results={"per_rank": per_rank, "claims": claims},
+        duration_seconds=time.monotonic() - t0,
+        jobs=jobs,
+    )
+
+
+class _FacetsSpherical(EnumFilter):
+    """Connected diagrams all of whose vertex-deleted subdiagrams are
+    spherical: the spherical ones and the minimal infinite ones.
+
+    Only the spherical ones are extended; every child of a minimal infinite
+    diagram contains it as a facet.  Parabolic subgroups of finite groups are
+    finite, so the kept diagrams are exactly the connected spherical and
+    minimal infinite ones.
+    """
+
+    def admits(self, system: CoxeterSystem) -> bool:
+        verts = range(system.rank)
+        return is_connected(system) and all(
+            is_spherical(restrict(system, tuple(j for j in verts if j != v)))
+            for v in verts
+        )
+
+    def extendable(self, system: CoxeterSystem) -> bool:
+        return is_spherical(system)
+
+
+def enumerate_minimal_infinite(
+    filt: EnumFilter, max_rank: int, jobs: int = 1
+) -> Report:
+    """All connected minimal infinite classes up to max_rank, with the three
+    structural claims about the non-affine ones evaluated within the label set.
+    """
+    if max_rank > 8:
+        raise ValueError("minimal-infinite enumeration is capped at rank 8")
+    t0 = time.monotonic()
+    search = _FacetsSpherical(
+        label_set=filt.label_set,
+        simply_laced=filt.simply_laced,
+        crystallographic=filt.crystallographic,
+    )
+    per_rank: dict[str, dict[str, int]] = {}
+    affine: list[CoxeterSystem] = []
+    non_affine: list[CoxeterSystem] = []
+    with worker_map(jobs) as imap:
+        for k, level in iter_levels(search, max_rank, imap):
+            found = [s for s in level if not is_spherical(s) and filt.admits(s)]
+            pa = [s for s in found if classify_irreducible(s).is_affine]
+            pn = [s for s in found if not classify_irreducible(s).is_affine]
+            per_rank[str(k)] = {"affine": len(pa), "non_affine": len(pn)}
+            affine.extend(pa)
+            non_affine.extend(pn)
+    three_sph_cryst = [
+        s for s in non_affine if is_crystallographic(s) and is_k_spherical(s, 3)
+    ]
+
+    claims = [
+        {
+            "claim": "every non-affine minimal infinite class has rank <= 5",
+            "passed": all(s.rank <= 5 for s in non_affine),
+            "details": {
+                "violations": [system_payload(s) for s in non_affine if s.rank > 5]
+            },
+        },
+        {
+            "claim": "no non-affine minimal infinite class is simply laced",
+            "passed": all(not is_simply_laced(s) for s in non_affine),
+            "details": {
+                "violations": [
+                    system_payload(s) for s in non_affine if is_simply_laced(s)
+                ]
+            },
+        },
+    ]
+    results = {
+        "per_rank": per_rank,
+        "affine_classes": [
+            dict(system_payload(s), type=str(classify_irreducible(s))) for s in affine
+        ],
+        "non_affine_classes": [system_payload(s) for s in non_affine],
+        "three_spherical_crystallographic_non_affine": [
+            system_payload(s) for s in three_sph_cryst
+        ],
+        "three_spherical_crystallographic_non_affine_count": len(three_sph_cryst),
+        "claims": claims,
+    }
+    return Report(
+        campaign="minimal-infinite",
+        parameters={"max_rank": max_rank, "filter": filt.payload()},
+        results=results,
+        duration_seconds=time.monotonic() - t0,
+        jobs=jobs,
+    )
+
+
+def enumerate_quasi_minimal(filt: EnumFilter, max_rank: int, jobs: int = 1) -> Report:
+    """All connected non-spherical non-affine classes whose proper subgroups
+    are all spherical-or-affine, up to max_rank.
+    """
+    if not filt.all_proper_parabolics_spherical_or_affine:
+        raise ValueError(
+            "the filter must set all_proper_parabolics_spherical_or_affine"
+        )
+    filt = replace(filt, connected_only=True)
+    t0 = time.monotonic()
+    per_rank: dict[str, int] = {}
+    classes: list[CoxeterSystem] = []
+    with worker_map(jobs) as imap:
+        for k, level in iter_levels(filt, max_rank, imap):
+            found = [s for s in level if classify_irreducible(s).is_indefinite]
+            per_rank[str(k)] = len(found)
+            classes.extend(found)
+    results = {
+        "per_rank": per_rank,
+        "max_rank_attained": max((s.rank for s in classes), default=0),
+        "classes": [system_payload(s) for s in classes],
+        "claims": [],
+    }
+    return Report(
+        campaign="quasi-minimal",
+        parameters={"max_rank": max_rank, "filter": filt.payload()},
+        results=results,
         duration_seconds=time.monotonic() - t0,
         jobs=jobs,
     )

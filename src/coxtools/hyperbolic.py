@@ -19,8 +19,8 @@ from .classify import (
     has_affine_parabolic,
     is_k_spherical,
     is_spherical,
+    minimal_infinite_subsets,
 )
-from .enumeration import minimal_infinite_subsets
 
 
 @dataclass(frozen=True)

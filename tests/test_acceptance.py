@@ -22,6 +22,7 @@ from coxtools import (
     enumerate_minimal_infinite,
     enumerate_quasi_minimal,
     is_hyperbolic,
+    iter_levels,
     kazhdan_threshold,
     validate_witness,
     verify_affine_criterion,
@@ -29,7 +30,6 @@ from coxtools import (
     verify_size_bounds,
 )
 from coxtools.catalog import overextended_E8, path_system, type_A, type_H
-from coxtools.enumeration import _generate_levels
 from coxtools.hyperbolic import affine_from_commuting
 
 from conftest import edges_to_system, permuted, slow
@@ -229,12 +229,12 @@ def affine_path_and_cycle_bridged() -> CoxeterSystem:
 def test_criterion_5_witness_revalidation():
     t0 = time.monotonic()
     corpus = []
-    levels = _generate_levels(5, EnumFilter(label_set=frozenset({2, 3, 4})))
-    corpus.extend(s for v in levels.values() for s in v)
-    levels = _generate_levels(
-        4, EnumFilter(label_set=frozenset({2, 3, INFINITY}), connected_only=False)
+    levels = iter_levels(EnumFilter(label_set=frozenset({2, 3, 4})), 5)
+    corpus.extend(s for _, v in levels for s in v)
+    levels = iter_levels(
+        EnumFilter(label_set=frozenset({2, 3, INFINITY}), connected_only=False), 4
     )
-    corpus.extend(s for v in levels.values() for s in v)
+    corpus.extend(s for _, v in levels for s in v)
     corpus += [
         overextended_E8(),
         square_of_triangles(),

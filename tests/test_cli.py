@@ -227,6 +227,25 @@ def test_enumerate_bad_labels(capsys):
     assert "bad label" in errtext
 
 
+@pytest.mark.parametrize(
+    "scope", [["--jobs", "0"], ["--jobs", "-2"], ["--max-rank", "-1"]]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enumerate", "--max-rank", "3"],
+        ["verify", "--campaign", "engine-agreement", "--max-rank", "3"],
+        ["verify", "--campaign", "minimal-infinite", "--max-rank", "3"],
+    ],
+)
+def test_bad_scope_is_input_error(command, scope, capsys):
+    code = main(command + scope)
+    out, errtext = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert errtext.startswith("error: ")
+
+
 def test_verify_campaign_exit_zero(capsys):
     code = main(
         ["verify", "--campaign", "size-bounds", "--labels", "2,3", "--max-rank", "11"]

@@ -18,9 +18,11 @@ from coxtools import (
     enumerate_quasi_minimal,
     is_connected,
     is_spherical,
+    iter_levels,
     minimal_infinite_subsets,
     restrict,
     system_from_code,
+    worker_map,
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
 from conftest import coxeter_systems, permuted
@@ -139,6 +141,43 @@ def test_jobs_do_not_change_output():
     assert [s.labels for s in enumerate_diagrams(4, filt, jobs=1)] == [
         s.labels for s in enumerate_diagrams(4, filt, jobs=3)
     ]
+
+
+def test_iter_levels_yields_every_rank_in_code_order():
+    filt = EnumFilter(label_set=frozenset({2, 3, 4}))
+    levels = list(iter_levels(filt, 4))
+    assert [k for k, _ in levels] == [1, 2, 3, 4]
+    for k, level in levels:
+        assert level == enumerate_diagrams(k, filt)
+        codes = [canonical_code(s) for s in level]
+        assert codes == sorted(set(codes))
+    assert list(iter_levels(filt, 0)) == []
+    with worker_map(2) as imap:
+        assert list(iter_levels(filt, 4, imap)) == levels
+
+
+def test_iter_levels_extends_only_what_the_filter_keeps():
+    class StopAtRankThree(EnumFilter):
+        def extendable(self, system):
+            return system.rank < 3
+
+    filt = StopAtRankThree(label_set=frozenset({2, 3}))
+    assert [len(level) for _, level in iter_levels(filt, 4)] == [1, 1, 2, 0]
+
+
+def test_scope_input_is_checked():
+    filt = EnumFilter(label_set=frozenset({2, 3}))
+    for bad in (-1, RANK_CAP + 1):
+        with pytest.raises(ValueError, match="rank"):
+            next(iter_levels(filt, bad))
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            with worker_map(jobs):
+                pass
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_diagrams(3, filt, jobs=jobs)
+    with worker_map(1) as imap:
+        assert imap is map
 
 
 # -- canonical codes ----------------------------------------------------------

@@ -12,6 +12,7 @@ from coxtools import (
     verify_engine_agreement,
     verify_size_bounds,
 )
+from coxtools import enumeration
 from coxtools.report import TOOL_VERSION, system_payload
 from coxtools.catalog import affine_G2
 
@@ -188,3 +189,56 @@ def test_report_hash_is_pinned(scope, jobs):
     rep = run(jobs)
     assert rep.passed()
     assert rep.content_hash() == pinned
+
+
+# -- one worker pool per campaign ----------------------------------------------
+
+POOL_SCOPES = {
+    "affine-criterion": lambda jobs: verify_affine_criterion(
+        "simply-laced", 5, jobs=jobs
+    ),
+    "engine-agreement": lambda jobs: verify_engine_agreement(
+        5, frozenset({2, 3}), jobs=jobs
+    ),
+    "minimal-infinite": lambda jobs: enumerate_minimal_infinite(
+        EnumFilter(label_set=frozenset({2, 3, 4})), 4, jobs=jobs
+    ),
+    "quasi-minimal": lambda jobs: enumerate_quasi_minimal(
+        EnumFilter(label_set=frozenset({2, 3, 4}), **_QUASI), 4, jobs=jobs
+    ),
+    "size-bounds": lambda jobs: verify_size_bounds(5, frozenset({2, 3}), jobs=jobs),
+}
+
+
+@pytest.fixture
+def pool_count(monkeypatch):
+    """Count the worker pools built while the test runs."""
+    made = []
+    real = enumeration.Pool
+
+    def counting_pool(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "Pool", counting_pool)
+    return made
+
+
+@pytest.mark.parametrize("campaign", sorted(POOL_SCOPES))
+def test_one_pool_per_campaign(campaign, pool_count):
+    POOL_SCOPES[campaign](2)
+    if campaign == "size-bounds":
+        # it runs the quasi-minimal and the minimal-infinite campaigns
+        assert 1 <= len(pool_count) <= 2
+    else:
+        assert len(pool_count) == 1
+    del pool_count[:]
+    POOL_SCOPES[campaign](1)
+    assert pool_count == []
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_campaigns_reject_fewer_than_one_job(jobs):
+    for run in POOL_SCOPES.values():
+        with pytest.raises(ValueError, match="jobs"):
+            run(jobs)
