@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,15 +13,19 @@ from sympy.polys.matrices import DomainMatrix
 
 from coxtools import (
     INFINITY,
+    AffineSubset,
     CoxeterSystem,
     UndecidedSignature,
+    check_affine_criterion,
     classify,
     classify_irreducible,
     has_affine_parabolic,
+    is_hyperbolic,
     is_k_spherical,
     is_spherical,
     kazhdan_threshold,
     max_spherical_rank,
+    minimal_infinite_subsets,
     restrict,
     signature,
     standard_system,
@@ -379,6 +386,57 @@ def test_max_spherical_rank_brute_force(s):
             if is_spherical(restrict(s, c)):
                 best = max(best, size)
     assert max_spherical_rank(s) == best
+
+
+# -- pinned scan outputs -------------------------------------------------------
+
+PIN_LABELS = (3, 4, 5, 6, 7, INFINITY)
+PIN_DENSITIES = (0.15, 0.3, 0.5, 0.8)
+# sha256 of the scan outputs below over the 2000 systems of _pin_systems()
+SCAN_OUTPUTS_SHA256 = "4b9ef476f4d9aa3cca377f081d65e3b7d5dc9c09685153c86c4a108c4ff37555"
+
+
+def _pin_systems(count=2000, seed=4):
+    """Seeded random systems of rank 1 to 9 with mixed edge densities."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        p = rng.choice(PIN_DENSITIES)
+        edges = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges[(i, j)] = rng.choice(PIN_LABELS)
+        yield CoxeterSystem.from_edges(n, edges)
+
+
+def _scan_outputs(s):
+    verdict = is_hyperbolic(s)
+    w = verdict.witness
+    if w is None:
+        witness = None
+    elif isinstance(w, AffineSubset):
+        witness = ["affine", list(w.subset)]
+    else:
+        witness = ["pair", list(w.left), list(w.right)]
+    crit = check_affine_criterion(s)
+    return [
+        [list(J) for J in minimal_infinite_subsets(s)],
+        has_affine_parabolic(s),
+        has_affine_parabolic(s, include_rank2_infty=True),
+        max_spherical_rank(s),
+        [is_k_spherical(s, k) for k in range(1, 5)],
+        verdict.hyperbolic,
+        witness,
+        [crit.hypotheses_ok, crit.hyperbolic, crit.affine_parabolic, crit.consistent],
+    ]
+
+
+def test_scan_outputs_match_pin():
+    h = hashlib.sha256()
+    for s in _pin_systems():
+        h.update(json.dumps(_scan_outputs(s)).encode())
+    assert h.hexdigest() == SCAN_OUTPUTS_SHA256
 
 
 # -- threshold ---------------------------------------------------------------
