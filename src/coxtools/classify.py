@@ -403,27 +403,43 @@ def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
 # -- derived predicates --------------------------------------------------------
 
 
+def _bonds_spherical(bonds) -> bool:
+    """Sphericity of a diagram on at most three vertices from its bond labels.
+
+    The label test is kept because it is the hot path of every subset scan:
+    sending ranks 2 and 3 through classify_irreducible made the
+    sweep-criterion benchmark pass about twice as slow.
+    """
+    if any(is_infinite_label(m) for m in bonds):
+        return False
+    if len(bonds) <= 1:
+        return True
+    if len(bonds) == 2:
+        p, q = bonds
+        return (p - 2) * (q - 2) < 4
+    return False  # a triangle is never finite
+
+
+def _bonds(labels, verts) -> list:
+    """Labels of the diagram edges among ascending vertices."""
+    return [
+        labels[i][j]
+        for a, i in enumerate(verts)
+        for j in verts[a + 1 :]
+        if labels[i][j] != 2
+    ]
+
+
+def _slice(labels, verts) -> CoxeterSystem:
+    """Induced subsystem on already validated, ascending vertices."""
+    return CoxeterSystem(tuple(tuple(labels[i][j] for j in verts) for i in verts))
+
+
 def is_spherical(system: CoxeterSystem) -> bool:
     """True iff the group is finite (every component in the spherical tables)."""
     n = system.rank
-    if n == 0:
-        return True
     if n <= 3:
-        # label-level shortcut; this is the hot path of every subset search
-        bonds = [
-            system.labels[i][j]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if system.labels[i][j] != 2
-        ]
-        if any(is_infinite_label(m) for m in bonds):
-            return False
-        if len(bonds) <= 1:
-            return True
-        if len(bonds) == 2:
-            p, q = bonds
-            return (p - 2) * (q - 2) < 4
-        return False  # a triangle is never finite
+        return _bonds_spherical(_bonds(system.labels, range(n)))
     return all(t.is_spherical for _, t in classify(system))
 
 
@@ -433,9 +449,95 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
         raise ValueError("k must be positive")
     n = system.rank
     size = min(k, n)
-    return all(
-        is_spherical(restrict(system, J)) for J in combinations(range(n), size)
-    )
+    labels = system.labels
+    if size <= 3:
+        return all(
+            _bonds_spherical(_bonds(labels, J)) for J in combinations(range(n), size)
+        )
+    return all(is_spherical(_slice(labels, J)) for J in combinations(range(n), size))
+
+
+class _SphericalClosure:
+    """The spherical subsets of a system, found by one bottom-up walk.
+
+    Subsets are int bitmasks.  Level k+1 is formed only from spherical sets of
+    level k, by adding a vertex above the set's highest bit, and a candidate
+    is examined only when all its facets are spherical, so supersets of
+    infinite subsets are never touched.  Such a candidate is either spherical
+    or minimal infinite:
+
+    * disconnected, it is spherical: each component lies in some facet;
+    * connected on at most three vertices, the label test decides;
+    * connected and larger, it is classified against the tables.
+
+    max_rank is the largest size of a spherical subset; minimal lists the
+    minimal infinite subsets in (size, lex) order as (vertices, mask, type),
+    with type None where the walk did not need to classify the subset.
+    """
+
+    def __init__(self, system: CoxeterSystem):
+        labels = system.labels
+        n = system.rank
+        self.labels = labels
+        self.adj = [
+            sum(1 << j for j in range(n) if j != i and labels[i][j] != 2)
+            for i in range(n)
+        ]
+        self.minimal: list[tuple[tuple[int, ...], int, Optional[TypeClass]]] = []
+        self.max_rank = 0
+        level = [((v,), 1 << v) for v in range(n)]
+        while level:
+            self.max_rank = len(level[0][0])
+            known = {mask for _, mask in level}
+            nxt = []
+            for verts, mask in level:
+                for v in range(verts[-1] + 1, n):
+                    cand = mask | 1 << v
+                    if any(cand ^ 1 << u not in known for u in verts):
+                        continue
+                    cverts = verts + (v,)
+                    t = None
+                    if not self._connected(cand):
+                        spherical = True
+                    elif len(cverts) <= 3:
+                        spherical = _bonds_spherical(_bonds(labels, cverts))
+                    else:
+                        t = classify_irreducible(_slice(labels, cverts))
+                        spherical = t.is_spherical
+                    if spherical:
+                        nxt.append((cverts, cand))
+                    else:
+                        self.minimal.append((cverts, cand, t))
+            level = nxt
+
+    def _connected(self, mask: int) -> bool:
+        adj = self.adj
+        seen = frontier = mask & -mask
+        while frontier:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            new = adj[v] & mask & ~seen
+            seen |= new
+            frontier |= new
+        return seen == mask
+
+    def affine(self, start: int):
+        """(vertices, type) of each irreducible affine subset of size >= start,
+        in (size, lex) order.
+
+        Every irreducible affine diagram is minimal infinite, so these are
+        the affine members of minimal.
+        """
+        for verts, _, t in self.minimal:
+            if len(verts) < start:
+                continue
+            if t is None:
+                t = classify_irreducible(_slice(self.labels, verts))
+            if t.is_affine:
+                yield verts, t
+
+    def first_affine(self, start: int) -> Optional[tuple[int, ...]]:
+        return next((verts for verts, _ in self.affine(start)), None)
 
 
 def has_affine_parabolic(
@@ -447,47 +549,12 @@ def has_affine_parabolic(
     dihedral group, which contains no Z x Z, so it only counts as a witness
     when include_rank2_infty is set.
     """
-    n = system.rank
-    start = 2 if include_rank2_infty else 3
-    for size in range(start, n + 1):
-        for J in combinations(range(n), size):
-            sub = restrict(system, J)
-            if is_connected(sub) and classify_irreducible(sub).is_affine:
-                return J
-    return None
-
-
-def _spherical_levels(system: CoxeterSystem) -> tuple[int, list[tuple[int, ...]]]:
-    """Bottom-up spherical closure.
-
-    Returns (max spherical rank, minimal infinite subsets in (size, lex)
-    order).  A subset is examined only once all its facets proved spherical,
-    so supersets of infinite subsets are never touched.
-    """
-    n = system.rank
-    current: set[tuple[int, ...]] = {()}
-    best = 0
-    minimal: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        nxt: set[tuple[int, ...]] = set()
-        for J in combinations(range(n), size):
-            if any(J[:i] + J[i + 1 :] not in current for i in range(size)):
-                continue
-            if is_spherical(restrict(system, J)):
-                nxt.add(J)
-            else:
-                minimal.append(J)
-        if nxt:
-            best = size
-        if not nxt:
-            break
-        current = nxt
-    return best, minimal
+    return _SphericalClosure(system).first_affine(2 if include_rank2_infty else 3)
 
 
 def max_spherical_rank(system: CoxeterSystem) -> int:
     """Largest size of a generating subset spanning a finite subgroup."""
-    return _spherical_levels(system)[0]
+    return _SphericalClosure(system).max_rank
 
 
 def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
@@ -496,7 +563,7 @@ def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
     Every infinite subset contains one of these, and they are pairwise
     incomparable; returned in (size, lex) order.
     """
-    return _spherical_levels(system)[1]
+    return [verts for verts, _, _ in _SphericalClosure(system).minimal]
 
 
 # -- Kazhdan threshold ----------------------------------------------------------

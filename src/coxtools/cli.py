@@ -20,14 +20,7 @@ import sys
 from typing import Optional
 
 from .catalog import standard_system
-from .classify import (
-    classify,
-    has_affine_parabolic,
-    is_spherical,
-    kazhdan_threshold,
-    max_spherical_rank,
-    minimal_infinite_subsets,
-)
+from .classify import _SphericalClosure, classify, is_spherical, kazhdan_threshold
 from .core import INFINITY, CoxeterSystem, Label, label_text
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .experiments import (
@@ -243,11 +236,12 @@ def _cmd_hyperbolic(ns: argparse.Namespace) -> int:
 
 def _cmd_parabolics(ns: argparse.Namespace) -> int:
     system = _read_diagram(ns)
-    minimal = minimal_infinite_subsets(system)
-    aff = has_affine_parabolic(system)
+    closure = _SphericalClosure(system)
+    minimal = [verts for verts, _, _ in closure.minimal]
+    aff = closure.first_affine(3)
     payload = {
         "diagram": system_payload(system),
-        "max_spherical_rank": max_spherical_rank(system),
+        "max_spherical_rank": closure.max_rank,
         "minimal_infinite": [list(s) for s in minimal],
         "affine_parabolic": list(aff) if aff is not None else None,
     }

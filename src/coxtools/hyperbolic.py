@@ -10,17 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 from .core import CoxeterSystem, is_connected, is_crystallographic, is_simply_laced, restrict
-from .classify import (
-    classify_irreducible,
-    has_affine_parabolic,
-    is_k_spherical,
-    is_spherical,
-    minimal_infinite_subsets,
-)
+from .classify import _SphericalClosure, classify_irreducible, is_k_spherical, is_spherical
 
 
 @dataclass(frozen=True)
@@ -55,18 +48,26 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     (total size, lex) order is returned, pairs before affine subsets, so the
     output is schedule-independent.
     """
-    mins = minimal_infinite_subsets(system)
+    return _verdict(_SphericalClosure(system))
+
+
+def _verdict(closure: _SphericalClosure) -> HyperbolicityVerdict:
+    adj = closure.adj
     best: Optional[tuple] = None
-    for I, J in combinations(mins, 2):
-        if set(I) & set(J):
-            continue
-        if all(system.labels[s][t] == 2 for s in I for t in J):
-            key = (len(I) + len(J),) + tuple(sorted((I, J)))
-            if best is None or key < best:
-                best = key
+    for a, (I, mask_i, _) in enumerate(closure.minimal):
+        # J is disjoint from I and commutes with it when it meets neither I
+        # nor a diagram neighbour of I
+        around_i = 0
+        for v in I:
+            around_i |= adj[v]
+        for J, mask_j, _ in closure.minimal[a + 1 :]:
+            if not (mask_i | around_i) & mask_j:
+                key = (len(I) + len(J),) + tuple(sorted((I, J)))
+                if best is None or key < best:
+                    best = key
     if best is not None:
         return HyperbolicityVerdict(False, CommutingInfinitePair(best[1], best[2]))
-    aff = has_affine_parabolic(system)
+    aff = closure.first_affine(3)
     if aff is not None:
         return HyperbolicityVerdict(False, AffineSubset(aff))
     return HyperbolicityVerdict(True)
@@ -111,11 +112,12 @@ def check_affine_criterion(system: CoxeterSystem) -> AffineCriterionCheck:
     hypotheses_ok = is_crystallographic(system) and (
         is_simply_laced(system) or is_k_spherical(system, 3)
     )
-    verdict = is_hyperbolic(system)
-    # is_hyperbolic searched for the affine parabolic unless a commuting pair
-    # settled the verdict first
+    closure = _SphericalClosure(system)
+    verdict = _verdict(closure)
+    # the verdict searched for the affine parabolic unless a commuting pair
+    # settled it first
     if isinstance(verdict.witness, CommutingInfinitePair):
-        aff = has_affine_parabolic(system)
+        aff = closure.first_affine(3)
     elif isinstance(verdict.witness, AffineSubset):
         aff = verdict.witness.subset
     else:
@@ -210,29 +212,17 @@ def affine_from_commuting(
 
     P = _shortest_bridge(system, I, J)
     U = sorted(set(I) | set(J) | set(P))
-
-    def scan(names_only: bool):
-        for size in range(3, len(U) + 1):
-            for K in combinations(U, size):
-                sub = restrict(system, K)
-                if not is_connected(sub):
-                    continue
-                t = classify_irreducible(sub)
-                if not t.is_affine:
-                    continue
-                if not names_only or t.name.startswith(("~A", "~C")):
-                    return K
-        return None
-
-    K = scan(names_only=True)
-    if K is not None:
-        return AffineSearchResult(K, False)
-    K = scan(names_only=False)
-    if K is not None:
-        return AffineSearchResult(K, True)
-    aff = has_affine_parabolic(system)
-    if aff is not None:
-        return AffineSearchResult(aff, True)
+    # restrict(system, U) meets the hypotheses and holds the commuting pair,
+    # so by the criterion it has an affine subset unless the classifier errs
+    found = [
+        (tuple(U[i] for i in K), t.name)
+        for K, t in _SphericalClosure(restrict(system, U)).affine(3)
+    ]
+    for K, name in found:
+        if name.startswith(("~A", "~C")):
+            return AffineSearchResult(K, False)
+    if found:
+        return AffineSearchResult(found[0][0], True)
     raise RuntimeError(
         "no affine subset exists although the preconditions hold; "
         "this contradicts the criterion and indicates a classifier bug"

@@ -20,6 +20,7 @@ from coxtools import (
     classify,
     classify_irreducible,
     has_affine_parabolic,
+    is_connected,
     is_hyperbolic,
     is_k_spherical,
     is_spherical,
@@ -339,13 +340,106 @@ def test_is_spherical_matches_componentwise_classify(s):
 @given(coxeter_systems(max_rank=5))
 @settings(max_examples=40)
 def test_is_k_spherical_brute_force(s):
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         want = all(
             is_spherical(restrict(s, c))
             for size in range(1, min(k, s.rank) + 1)
             for c in combinations(range(s.rank), size)
         )
         assert is_k_spherical(s, k) == want
+
+
+# the per-subset scans the bitmask walk replaced, kept as brute-force references
+
+
+def _ref_spherical(s, J) -> bool:
+    return all(tc.is_spherical for _, tc in classify(restrict(s, J)))
+
+
+def _ref_minimal_infinite(s):
+    return [
+        J
+        for size in range(1, s.rank + 1)
+        for J in combinations(range(s.rank), size)
+        if not _ref_spherical(s, J)
+        and all(_ref_spherical(s, J[:i] + J[i + 1 :]) for i in range(size))
+    ]
+
+
+def _ref_affine_parabolic(s, include_rank2_infty):
+    for size in range(2 if include_rank2_infty else 3, s.rank + 1):
+        for J in combinations(range(s.rank), size):
+            sub = restrict(s, J)
+            if is_connected(sub) and classify_irreducible(sub).is_affine:
+                return J
+    return None
+
+
+@st.composite
+def mixed_systems(draw, max_rank=7):
+    """Systems up to rank 7 with non-crystallographic labels, often sparse."""
+    n = draw(st.integers(min_value=0, max_value=max_rank))
+    edge_labels = st.sampled_from((2, 2, 2, 3, 3, 4, 5, 6, 7, INFINITY))
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = draw(edge_labels)
+            if m != 2:
+                edges[(i, j)] = m
+    return CoxeterSystem.from_edges(n, edges)
+
+
+@given(mixed_systems())
+@settings(max_examples=300)
+def test_minimal_infinite_subsets_brute_force(s):
+    assert minimal_infinite_subsets(s) == _ref_minimal_infinite(s)
+
+
+@given(mixed_systems())
+@settings(max_examples=300)
+def test_has_affine_parabolic_brute_force(s):
+    for flag in (False, True):
+        want = _ref_affine_parabolic(s, flag)
+        assert has_affine_parabolic(s, include_rank2_infty=flag) == want
+
+
+def test_disconnected_set_with_spherical_facets_is_spherical():
+    # A2 + B2 + I2(5): every facet is spherical and the whole set is too
+    s = CoxeterSystem.from_edges(6, {(0, 1): 3, (2, 3): 4, (4, 5): 5})
+    assert minimal_infinite_subsets(s) == []
+    assert max_spherical_rank(s) == 6
+    assert has_affine_parabolic(s, include_rank2_infty=True) is None
+    assert all(is_k_spherical(s, k) for k in range(1, 7))
+    assert is_hyperbolic(s).hyperbolic
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_scans_on_rank_zero_and_one(rank):
+    s = type_A(rank) if rank else CoxeterSystem.empty()
+    assert minimal_infinite_subsets(s) == []
+    assert has_affine_parabolic(s) is None
+    assert has_affine_parabolic(s, include_rank2_infty=True) is None
+    assert max_spherical_rank(s) == rank
+    assert all(is_k_spherical(s, k) for k in range(1, 5))
+    assert is_hyperbolic(s).hyperbolic
+    crit = check_affine_criterion(s)
+    assert crit.hypotheses_ok and crit.hyperbolic and crit.consistent
+    assert crit.affine_parabolic is None
+    if rank:
+        assert kazhdan_threshold(s).d == 1
+    else:
+        with pytest.raises(ValueError):
+            kazhdan_threshold(s)
+
+
+def test_infinite_pair_precedes_affine_triangle():
+    # the ~A2 triangle 0-1-2 is lex-first, but the ~A1 pair 3-4 is smaller
+    s = CoxeterSystem.from_edges(
+        5, {(0, 1): 3, (1, 2): 3, (0, 2): 3, (3, 4): INFINITY}
+    )
+    assert minimal_infinite_subsets(s) == [(3, 4), (0, 1, 2)]
+    assert has_affine_parabolic(s, include_rank2_infty=True) == (3, 4)
+    assert has_affine_parabolic(s) == (0, 1, 2)
 
 
 def test_has_affine_parabolic_examples():

@@ -9,6 +9,7 @@ from coxtools import (
     affine_from_commuting,
     check_affine_criterion,
     classify_irreducible,
+    has_affine_parabolic,
     is_hyperbolic,
     restrict,
     standard_system,
@@ -186,6 +187,21 @@ def test_affine_from_commuting_relabeled_instance():
     J = tuple(sorted(perm[v] for v in (5, 6, 7, 8)))
     r = affine_from_commuting(p, I, J)
     assert classify_irreducible(restrict(p, r.subset)).is_affine
+    assert not r.fallback_used
+
+
+def test_affine_from_commuting_prefers_cycle_and_bounded_path_types():
+    # the first affine subset of the bridged union is the ~B3 on 1, 2, 3, 4;
+    # the constructive argument reports the later ~C6 instead
+    s = CoxeterSystem.from_edges(
+        10,
+        {(0, 1): 3, (0, 3): 3, (1, 2): 3, (2, 3): 4, (2, 4): 3, (4, 9): 3,
+         (5, 6): 3, (5, 8): 3, (6, 7): 4, (7, 8): 3, (8, 9): 3},
+    )
+    assert has_affine_parabolic(s) == (1, 2, 3, 4)
+    r = affine_from_commuting(s, (0, 1, 2, 3), (5, 6, 7, 8))
+    assert r.subset == (2, 3, 4, 6, 7, 8, 9)
+    assert classify_irreducible(restrict(s, r.subset)).name == "~C6"
     assert not r.fallback_used
 
 
