@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 import mpmath
 
@@ -403,13 +403,19 @@ def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
 # -- derived predicates --------------------------------------------------------
 
 
-def _bonds_spherical(bonds) -> bool:
-    """Sphericity of a diagram on at most three vertices from its bond labels.
+def _small_spherical(labels, verts) -> bool:
+    """Sphericity of the subdiagram on at most three ascending vertices.
 
     The label test is kept because it is the hot path of every subset scan:
     sending ranks 2 and 3 through classify_irreducible made the
     sweep-criterion benchmark pass about twice as slow.
     """
+    bonds = [
+        labels[i][j]
+        for a, i in enumerate(verts)
+        for j in verts[a + 1 :]
+        if labels[i][j] != 2
+    ]
     if any(is_infinite_label(m) for m in bonds):
         return False
     if len(bonds) <= 1:
@@ -418,16 +424,6 @@ def _bonds_spherical(bonds) -> bool:
         p, q = bonds
         return (p - 2) * (q - 2) < 4
     return False  # a triangle is never finite
-
-
-def _bonds(labels, verts) -> list:
-    """Labels of the diagram edges among ascending vertices."""
-    return [
-        labels[i][j]
-        for a, i in enumerate(verts)
-        for j in verts[a + 1 :]
-        if labels[i][j] != 2
-    ]
 
 
 def _slice(labels, verts) -> CoxeterSystem:
@@ -439,7 +435,7 @@ def is_spherical(system: CoxeterSystem) -> bool:
     """True iff the group is finite (every component in the spherical tables)."""
     n = system.rank
     if n <= 3:
-        return _bonds_spherical(_bonds(system.labels, range(n)))
+        return _small_spherical(system.labels, range(n))
     return all(t.is_spherical for _, t in classify(system))
 
 
@@ -451,9 +447,7 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
     size = min(k, n)
     labels = system.labels
     if size <= 3:
-        return all(
-            _bonds_spherical(_bonds(labels, J)) for J in combinations(range(n), size)
-        )
+        return all(_small_spherical(labels, J) for J in combinations(range(n), size))
     return all(is_spherical(_slice(labels, J)) for J in combinations(range(n), size))
 
 
@@ -500,7 +494,7 @@ class _SphericalClosure:
                     if not self._connected(cand):
                         spherical = True
                     elif len(cverts) <= 3:
-                        spherical = _bonds_spherical(_bonds(labels, cverts))
+                        spherical = _small_spherical(labels, cverts)
                     else:
                         t = classify_irreducible(_slice(labels, cverts))
                         spherical = t.is_spherical
@@ -521,7 +515,7 @@ class _SphericalClosure:
             frontier |= new
         return seen == mask
 
-    def affine(self, start: int):
+    def affine(self, start: int) -> Iterator[tuple[tuple[int, ...], TypeClass]]:
         """(vertices, type) of each irreducible affine subset of size >= start,
         in (size, lex) order.
 
