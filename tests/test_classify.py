@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -21,6 +22,7 @@ from coxtools import (
     classify_irreducible,
     has_affine_parabolic,
     is_connected,
+    is_crystallographic,
     is_hyperbolic,
     is_k_spherical,
     is_spherical,
@@ -51,7 +53,7 @@ from coxtools.catalog import (
     type_H,
     type_I2,
 )
-from coxtools.classify import _signature_interval
+from coxtools.classify import _signature_interval, gram_matrix
 from conftest import coxeter_systems
 
 
@@ -319,6 +321,22 @@ def test_undecided_signature_raises_on_exact_kernel():
         _signature_interval(affine_A(2))
 
 
+def test_interval_engine_row_column_addition():
+    # Eliminating vertices 0, 1 and 2 leaves every diagonal entry an exact 0,
+    # so the engine adds row and column 5 to row and column 3 to surface a
+    # pivot.  Row 5 is nonzero in column 4, where row 3 is zero, so the
+    # addition makes new nonzeros that the next elimination must reach.
+    inf = INFINITY
+    s = CoxeterSystem.from_edges(
+        8,
+        {
+            (0, 3): inf, (1, 4): inf, (1, 6): inf, (2, 5): inf, (2, 7): inf,
+            (3, 5): 3, (3, 6): 4, (3, 7): 3, (4, 5): 4, (4, 6): 3,
+        },
+    )
+    assert _signature_interval(s).as_tuple == signature(s).as_tuple == (6, 0, 2)
+
+
 # -- sphericity and parabolic scans -----------------------------------------
 
 
@@ -531,6 +549,59 @@ def test_scan_outputs_match_pin():
     for s in _pin_systems():
         h.update(json.dumps(_scan_outputs(s)).encode())
     assert h.hexdigest() == SCAN_OUTPUTS_SHA256
+
+
+# -- pinned interval engine ---------------------------------------------------
+
+INTERVAL_PIN_LABELS = (3, 4, 5, 6, 7, 8, INFINITY)
+# sha256 of _interval_outputs over the 1500 systems of _interval_pin_systems()
+INTERVAL_OUTPUTS_SHA256 = "47d377c43e717fe99eb26cd12b7907d595fb58beb944ca8136affd7958267e03"
+
+
+def _interval_pin_systems(count=1500, seed=5):
+    """Seeded random connected non-crystallographic systems of rank 2 to 9.
+
+    A random spanning tree makes each one connected; if no label is 5, 7 or
+    8, one edge is relabelled with one of them.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        p = rng.choice(PIN_DENSITIES)
+        edges = {(rng.randrange(j), j): rng.choice(INTERVAL_PIN_LABELS) for j in range(1, n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) not in edges and rng.random() < p:
+                    edges[(i, j)] = rng.choice(INTERVAL_PIN_LABELS)
+        if all(m in (3, 4, 6, INFINITY) for m in edges.values()):
+            edges[rng.choice(sorted(edges))] = rng.choice((5, 7, 8))
+        yield CoxeterSystem.from_edges(n, edges)
+
+
+def _interval_outputs(s):
+    """Interval signature (or "undecided") and the exact Gram endpoints at 64 bits."""
+    try:
+        sig = list(_signature_interval(s).as_tuple)
+    except UndecidedSignature:
+        sig = "undecided"
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = 64
+    try:
+        gram = gram_matrix(s)
+    finally:
+        iv.prec = saved
+    # _mpi_ holds both endpoints as exact (sign, mantissa, exponent, bits) tuples
+    ends = [[[int(v) for end in x._mpi_ for v in end] for x in row] for row in gram]
+    return [sig, ends]
+
+
+def test_interval_engine_outputs_match_pin():
+    h = hashlib.sha256()
+    for s in _interval_pin_systems():
+        assert not is_crystallographic(s) and is_connected(s)
+        h.update(json.dumps(_interval_outputs(s)).encode())
+    assert h.hexdigest() == INTERVAL_OUTPUTS_SHA256
 
 
 # -- threshold ---------------------------------------------------------------

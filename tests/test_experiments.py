@@ -140,7 +140,9 @@ def test_campaigns_are_deterministic_across_jobs():
 #
 # One small scope per campaign (both affine-criterion modes), with the
 # content hash each report had before the campaign pipeline was consolidated.
-# Any change to enumeration order, pruning or row assembly moves a hash.
+# Any change to enumeration order, pruning or row assembly moves a hash.  The
+# two scopes with labels 5 and 7 are the ones that reach the interval
+# signature engine.
 
 _QUASI = dict(all_proper_parabolics_spherical_or_affine=True)
 
@@ -158,6 +160,14 @@ PINNED_SCOPES = {
     "engine-agreement/2,3,4,6/r4": (
         lambda jobs: verify_engine_agreement(4, frozenset({2, 3, 4, 6}), jobs=jobs),
         "9ed9248e3f7ae7e92a4f854334192ba349ed4bd859b4ca235360ac4167ca6b73",
+    ),
+    "engine-agreement/2,3,5/r5": (
+        lambda jobs: verify_engine_agreement(5, frozenset({2, 3, 5}), jobs=jobs),
+        "55a0a624657ad1d3269b27c9b9e346d61253902fd84a74b81b024d581e157e51",
+    ),
+    "engine-agreement/2,3,5,7/r4": (
+        lambda jobs: verify_engine_agreement(4, frozenset({2, 3, 5, 7}), jobs=jobs),
+        "d1556b4f79671083b630447d585f3c6d5623d06cc93856f91b2311faac3e775c",
     ),
     "size-bounds/2,3/r8": (
         lambda jobs: verify_size_bounds(8, frozenset({2, 3}), jobs=jobs),
