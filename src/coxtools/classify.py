@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Optional
 
 import mpmath
 
 from .core import (
+    INFINITY,
     CoxeterSystem,
     components,
     is_connected,
@@ -115,24 +117,21 @@ def gram_matrix(system: CoxeterSystem):
     ]
 
 
+# -cos(pi/m) for the labels where it is exactly representable, so zeros stay
+# zeros; label 1 gives the diagonal
+_EXACT_ENTRIES = {1: 1, 2: 0, 3: -0.5, INFINITY: -1}
+# precision -> label -> enclosure of -cos(pi/label), shared by every matrix
+# and every escalation step
+_ENCLOSURES: dict[int, dict] = {}
+
+
 def _gram_interval(system: CoxeterSystem):
     iv = mpmath.iv
-
-    def entry(m):
-        # keep exactly-representable entries exact so zeros stay zeros
-        if m == 2:
-            return iv.mpf(0)
-        if m == 3:
-            return iv.mpf(-0.5)
-        if is_infinite_label(m):
-            return iv.mpf(-1)
-        return -iv.cos(iv.pi / m)
-
-    n = system.rank
-    return [
-        [iv.mpf(1) if i == j else entry(system.labels[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
+    table = _ENCLOSURES.setdefault(iv.prec, {})
+    for m in set().union(*system.labels) - table.keys():
+        exact = _EXACT_ENTRIES.get(m)
+        table[m] = -iv.cos(iv.pi / m) if exact is None else iv.mpf(exact)
+    return [[table[m] for m in row] for row in system.labels]
 
 
 def _iv_sign(x) -> Optional[int]:
@@ -152,6 +151,10 @@ def _inertia_interval_once(system: CoxeterSystem) -> Optional[tuple[int, int, in
     raises UndecidedSignature.
     """
     m = _gram_interval(system)
+    # nz[i] masks the columns where row i may be nonzero.  Every entry outside
+    # it is an exact [0, 0], so an update skipped for it would subtract an
+    # exact zero: no endpoint, pivot or escalation moves.
+    nz = [sum(1 << j for j, lab in enumerate(row) if lab != 2) for row in system.labels]
     active = list(range(system.rank))
     plus = minus = 0
     while active:
@@ -167,6 +170,10 @@ def _inertia_interval_once(system: CoxeterSystem) -> Optional[tuple[int, int, in
                             m[i][k] = m[i][k] + m[j][k]
                         for k in active:
                             m[k][i] = m[k][i] + m[k][j]
+                        nz[i] |= nz[j]
+                        for k in active:
+                            if nz[j] >> k & 1:
+                                nz[k] |= 1 << i
                         piv = i
                         break
                 if piv is not None:
@@ -179,13 +186,15 @@ def _inertia_interval_once(system: CoxeterSystem) -> Optional[tuple[int, int, in
         else:
             minus += 1
         d = m[piv][piv]
-        rest = [k for k in active if k != piv]
-        col = {x: m[x][piv] for x in rest}
-        for x in rest:
-            f = col[x] / d
-            for y in rest:
-                m[x][y] = m[x][y] - f * col[y]
-        active = rest
+        active.remove(piv)
+        touched = [x for x in active if nz[piv] >> x & 1]
+        col = [m[x][piv] for x in touched]
+        for x, cx in zip(touched, col):
+            f = cx / d
+            row = m[x]
+            for y, cy in zip(touched, col):
+                row[y] = row[y] - f * cy
+            nz[x] |= nz[piv]
     return plus, 0, minus
 
 
@@ -634,9 +643,15 @@ def kazhdan_threshold(system: CoxeterSystem) -> ThresholdResult:
     d = max_spherical_rank(system)
     if d == 0:
         raise ValueError("threshold needs at least one generator")
+    return ThresholdResult(d, *_threshold_for_rank(d))
+
+
+@cache
+def _threshold_for_rank(d: int) -> tuple[Fraction, int]:
+    """The bound 1764^d / 25 and the prime power q, searched once per d."""
     bound = Fraction(1764) ** d / 25
     # 1764 is coprime to 5, so the bound is never an integer
     q = -(-bound.numerator // bound.denominator)
     while not _is_prime_power(q):
         q += 1
-    return ThresholdResult(d, bound, q)
+    return bound, q

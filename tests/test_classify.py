@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -55,6 +56,9 @@ from coxtools.catalog import (
 )
 from coxtools.classify import _signature_interval, gram_matrix
 from conftest import coxeter_systems
+
+# the package exports a function named classify, which hides the module
+classify_module = importlib.import_module("coxtools.classify")
 
 
 # -- pattern tables, one entry per family and rank regime ------------------
@@ -630,6 +634,24 @@ def test_threshold_against_independent_oracle(d):
 def test_threshold_frozen_values():
     assert kazhdan_threshold(type_A(1)).q == 71
     assert kazhdan_threshold(type_A(2)).q == 124471
+
+
+def test_threshold_searches_once_per_d(monkeypatch):
+    calls = []
+    real = classify_module._is_prime_power
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(classify_module, "_is_prime_power", counting)
+    classify_module._threshold_for_rank.cache_clear()
+    first = kazhdan_threshold(type_A(3))
+    assert calls
+    searched = len(calls)
+    second = kazhdan_threshold(type_H(3))  # another system with d = 3
+    assert len(calls) == searched
+    assert (second.d, second.bound, second.q) == (first.d, first.bound, first.q)
 
 
 def test_threshold_rejects_rank_zero():
