@@ -651,7 +651,7 @@ def test_threshold_searches_once_per_d(monkeypatch):
     searched = len(calls)
     second = kazhdan_threshold(type_H(3))  # another system with d = 3
     assert len(calls) == searched
-    assert (second.d, second.bound, second.q) == (first.d, first.bound, first.q)
+    assert second == first
 
 
 def test_threshold_rejects_rank_zero():
