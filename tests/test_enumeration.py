@@ -13,10 +13,12 @@ from coxtools import (
     RANK_CAP,
     canonical_code,
     classify_irreducible,
+    components,
     enumerate_diagrams,
     enumerate_minimal_infinite,
     enumerate_quasi_minimal,
     is_connected,
+    is_k_spherical,
     is_spherical,
     iter_levels,
     minimal_infinite_subsets,
@@ -25,6 +27,7 @@ from coxtools import (
     worker_map,
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
+from coxtools.experiments import _FacetsSpherical
 from conftest import coxeter_systems, permuted
 
 
@@ -265,6 +268,101 @@ def test_filter_admits():
     )
     assert classify_irreducible(restrict(path_inf, (0, 2, 3))).is_indefinite
     assert not g.admits(path_inf)
+
+
+# -- the hereditary filters against restrict-based brute force -----------------
+#
+# Each oracle restricts to every facet and then to every component with the
+# public, validating `restrict`, and classifies each piece on its own.
+
+
+def facets(s):
+    verts = range(s.rank)
+    return [restrict(s, tuple(j for j in verts if j != v)) for v in verts]
+
+
+def oracle_sph_or_aff(s):
+    return all(
+        not classify_irreducible(restrict(s, c)).is_indefinite for c in components(s)
+    )
+
+
+def oracle_all_proper_ok(s):
+    return all(oracle_sph_or_aff(f) for f in facets(s))
+
+
+def oracle_facets_spherical(s):
+    return is_connected(s) and all(is_spherical(f) for f in facets(s))
+
+
+def oracle_admits(filt, s):
+    allowed = set(filt.effective_labels())
+    return (
+        all(m in allowed for _, _, m in s.edges())
+        and (not filt.connected_only or is_connected(s))
+        and (filt.k_spherical is None or is_k_spherical(s, filt.k_spherical))
+        and (
+            not filt.all_proper_parabolics_spherical_or_affine
+            or oracle_all_proper_ok(s)
+        )
+    )
+
+
+ALL_LABELS = frozenset({2, 3, 4, 5, 6, 7, INFINITY})
+
+
+@st.composite
+def sparse_systems(draw, max_rank=7):
+    """Ranks 0..max_rank, labels up to 7 and inf, about half the pairs
+    commuting, so disconnected diagrams and spherical facets are common."""
+    n = draw(st.integers(min_value=0, max_value=max_rank))
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = draw(st.one_of(st.just(2), st.sampled_from([3, 3, 4, 5, 6, 7, INFINITY])))
+            mat[i][j] = mat[j][i] = m
+    return CoxeterSystem.from_rows(mat)
+
+
+@given(
+    sparse_systems(),
+    st.sampled_from([ALL_LABELS, frozenset({2, 3, 4}), frozenset({2, 3})]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 1, 2, 3, 4]),
+)
+@settings(max_examples=600)
+def test_enum_filter_matches_restrict_oracle(s, labels, connected, proper, k):
+    filt = EnumFilter(
+        label_set=labels,
+        connected_only=connected,
+        k_spherical=k,
+        all_proper_parabolics_spherical_or_affine=proper,
+    )
+    assert filt.admits(s) == oracle_admits(filt, s)
+    assert filt.extendable(s) == (not proper or oracle_sph_or_aff(s))
+
+
+@given(sparse_systems())
+@settings(max_examples=400)
+def test_minimal_infinite_search_filter_matches_restrict_oracle(s):
+    search = _FacetsSpherical(label_set=ALL_LABELS)
+    assert search.admits(s) == oracle_facets_spherical(s)
+    assert search.extendable(s) == is_spherical(s)
+
+
+def test_filter_oracles_see_both_verdicts():
+    # the diagrams the campaigns keep and extend must reach the oracles too
+    e10 = overextended_E8()
+    assert oracle_all_proper_ok(e10) and not oracle_sph_or_aff(e10)
+    assert oracle_all_proper_ok(affine_A(4)) and oracle_sph_or_aff(affine_A(4))
+    assert oracle_facets_spherical(affine_A(4)) and not is_spherical(affine_A(4))
+    assert not oracle_facets_spherical(CoxeterSystem.from_edges(2, {}))
+    filt = EnumFilter(label_set=ALL_LABELS, all_proper_parabolics_spherical_or_affine=True)
+    for s in (e10, affine_A(4), type_A(5)):
+        assert filt.admits(s) == oracle_admits(filt, s)
+        assert filt.extendable(s) == oracle_sph_or_aff(s)
+        assert _FacetsSpherical(label_set=ALL_LABELS).admits(s) == oracle_facets_spherical(s)
 
 
 # -- minimal infinite subsets ---------------------------------------------------
