@@ -25,11 +25,11 @@ import mpmath
 from .core import (
     INFINITY,
     CoxeterSystem,
+    _slice,
     components,
     is_connected,
     is_crystallographic,
     is_infinite_label,
-    restrict,
 )
 from .quadratic import NEG_TWICE_COS, TWO, inertia_exact
 
@@ -222,7 +222,7 @@ def signature(system: CoxeterSystem) -> Signature:
     """Exact signature of the cosine form, summed over connected components."""
     plus = zero = minus = 0
     for comp in components(system):
-        sub = system if len(comp) == system.rank else restrict(system, comp)
+        sub = system if len(comp) == system.rank else _slice(system.labels, comp)
         if is_crystallographic(sub):
             p, z, m = inertia_exact(gram_matrix(sub))
         else:
@@ -404,9 +404,17 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
 def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
     """Classification of every connected component, in component order."""
     return [
-        (comp, classify_irreducible(restrict(system, comp)))
+        (comp, classify_irreducible(_slice(system.labels, comp)))
         for comp in components(system)
     ]
+
+
+def _facet_types(system: CoxeterSystem) -> Iterator[TypeClass]:
+    """Type of every component of every vertex-deleted subdiagram."""
+    verts = range(system.rank)
+    for v in verts:
+        for _, t in classify(_slice(system.labels, [j for j in verts if j != v])):
+            yield t
 
 
 # -- derived predicates --------------------------------------------------------
@@ -433,11 +441,6 @@ def _small_spherical(labels, verts) -> bool:
         p, q = bonds
         return (p - 2) * (q - 2) < 4
     return False  # a triangle is never finite
-
-
-def _slice(labels, verts) -> CoxeterSystem:
-    """Induced subsystem on already validated, ascending vertices."""
-    return CoxeterSystem(tuple(tuple(labels[i][j] for j in verts) for i in verts))
 
 
 def is_spherical(system: CoxeterSystem) -> bool:

@@ -70,7 +70,7 @@ def parse_diagram(text: str) -> CoxeterSystem:
                 _fail("rank line cannot follow a type line", lineno, head_col)
             if rank is not None:
                 _fail("duplicate rank line", lineno, head_col)
-            if len(args) != 1 or not args[0][0].isdigit():
+            if len(args) != 1 or not args[0][0].isdecimal():
                 col = args[0][1] if args else head_col
                 _fail("expected a non-negative integer rank", lineno, col)
             rank = int(args[0][0])
@@ -82,9 +82,9 @@ def parse_diagram(text: str) -> CoxeterSystem:
             if len(args) != 3:
                 _fail("expected: edge: <i> <j> <m>", lineno, head_col)
             (si, ci), (sj, cj), (sm, cm) = args
-            if not si.isdigit():
+            if not si.isdecimal():
                 _fail("expected a vertex index", lineno, ci)
-            if not sj.isdigit():
+            if not sj.isdecimal():
                 _fail("expected a vertex index", lineno, cj)
             i, j = int(si), int(sj)
             if i >= j:
@@ -93,7 +93,7 @@ def parse_diagram(text: str) -> CoxeterSystem:
                 _fail(f"vertex index {j} is out of range for rank {rank}", lineno, cj)
             if sm == "inf":
                 m: Label = INFINITY
-            elif sm.isdigit():
+            elif sm.isdecimal():
                 m = int(sm)
                 if m < 3:
                     _fail(
@@ -158,7 +158,7 @@ def _parse_labels(csv: str) -> frozenset:
         item = item.strip()
         if item == "inf":
             out.add(INFINITY)
-        elif item.isdigit():
+        elif item.isdecimal():
             out.add(int(item))
         else:
             raise ValueError(f"bad label {item!r} in --labels")

@@ -143,10 +143,14 @@ def _check_subset(system: CoxeterSystem, subset: Iterable[int]) -> tuple[int, ..
     return tuple(sorted(js))
 
 
+def _slice(labels, verts) -> CoxeterSystem:
+    """Induced subsystem on already validated, ascending vertices."""
+    return CoxeterSystem(tuple(tuple(labels[i][j] for j in verts) for i in verts))
+
+
 def restrict(system: CoxeterSystem, subset: Iterable[int]) -> CoxeterSystem:
     """Induced subsystem on the given vertices, in ascending index order."""
-    js = _check_subset(system, subset)
-    return CoxeterSystem(tuple(tuple(system.labels[i][j] for j in js) for i in js))
+    return _slice(system.labels, _check_subset(system, subset))
 
 
 def components(system: CoxeterSystem) -> list[tuple[int, ...]]:

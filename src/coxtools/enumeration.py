@@ -25,16 +25,15 @@ from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
 
 from .core import (
+    CRYSTALLOGRAPHIC_LABELS,
     INFINITY,
     CoxeterSystem,
     Label,
-    components,
     is_connected,
     is_infinite_label,
     label_sort_key,
-    restrict,
 )
-from .classify import classify_irreducible, is_k_spherical
+from .classify import _facet_types, classify, is_k_spherical
 
 RANK_CAP = 11
 
@@ -134,9 +133,6 @@ def system_from_code(code: bytes) -> CoxeterSystem:
 # -- filters ---------------------------------------------------------------
 
 
-_CRYSTALLOGRAPHIC_SET = frozenset({2, 3, 4, 6, INFINITY})
-
-
 @dataclass(frozen=True)
 class EnumFilter:
     """Hereditary constraints applied at every rank of the augmentation."""
@@ -166,7 +162,7 @@ class EnumFilter:
         if self.simply_laced:
             ls = ls & frozenset({2, 3})
         if self.crystallographic:
-            ls = ls & _CRYSTALLOGRAPHIC_SET
+            ls = ls & CRYSTALLOGRAPHIC_LABELS
         return tuple(sorted(ls, key=label_sort_key))
 
     def admits(self, system: CoxeterSystem) -> bool:
@@ -180,7 +176,11 @@ class EnumFilter:
             return False
         if self.k_spherical is not None and not is_k_spherical(system, self.k_spherical):
             return False
-        if self.all_proper_parabolics_spherical_or_affine and not _all_proper_ok(system):
+        # componentwise spherical-or-affine survives restriction, so checking
+        # the vertex-deleted subdiagrams covers every proper subset
+        if self.all_proper_parabolics_spherical_or_affine and any(
+            t.is_indefinite for t in _facet_types(system)
+        ):
             return False
         return True
 
@@ -189,7 +189,7 @@ class EnumFilter:
         # children of anything indefinite contain it as a proper subdiagram
         # and are rejected anyway, so those subtrees can be cut up front
         if self.all_proper_parabolics_spherical_or_affine:
-            return _sph_or_aff(system)
+            return not any(t.is_indefinite for _, t in classify(system))
         return True
 
     def payload(self) -> dict:
@@ -205,24 +205,6 @@ class EnumFilter:
                 self.all_proper_parabolics_spherical_or_affine
             ),
         }
-
-
-def _sph_or_aff(system: CoxeterSystem) -> bool:
-    return all(
-        not classify_irreducible(restrict(system, comp)).is_indefinite
-        for comp in components(system)
-    )
-
-
-def _all_proper_ok(system: CoxeterSystem) -> bool:
-    # componentwise spherical-or-affine survives restriction, so checking the
-    # vertex-deleted subdiagrams covers every proper subset
-    n = system.rank
-    verts = range(n)
-    return all(
-        _sph_or_aff(restrict(system, tuple(j for j in verts if j != v)))
-        for v in verts
-    )
 
 
 # -- augmentation driver ------------------------------------------------------

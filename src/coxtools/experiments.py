@@ -18,9 +18,14 @@ from .core import (
     is_crystallographic,
     is_simply_laced,
     label_sort_key,
-    restrict,
 )
-from .classify import classify_irreducible, is_k_spherical, is_spherical, signature
+from .classify import (
+    _facet_types,
+    classify_irreducible,
+    is_k_spherical,
+    is_spherical,
+    signature,
+)
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
@@ -158,11 +163,7 @@ class _FacetsSpherical(EnumFilter):
     """
 
     def admits(self, system: CoxeterSystem) -> bool:
-        verts = range(system.rank)
-        return is_connected(system) and all(
-            is_spherical(restrict(system, tuple(j for j in verts if j != v)))
-            for v in verts
-        )
+        return is_connected(system) and all(t.is_spherical for t in _facet_types(system))
 
     def extendable(self, system: CoxeterSystem) -> bool:
         return is_spherical(system)
@@ -183,13 +184,14 @@ def enumerate_minimal_infinite(
         crystallographic=filt.crystallographic,
     )
     per_rank: dict[str, dict[str, int]] = {}
-    affine: list[CoxeterSystem] = []
+    affine: list[dict] = []
     non_affine: list[CoxeterSystem] = []
     with worker_map(jobs) as imap:
         for k, level in iter_levels(search, max_rank, imap):
-            found = [s for s in level if not is_spherical(s) and filt.admits(s)]
-            pa = [s for s in found if classify_irreducible(s).is_affine]
-            pn = [s for s in found if not classify_irreducible(s).is_affine]
+            typed = [(s, classify_irreducible(s)) for s in level]
+            found = [(s, t) for s, t in typed if not t.is_spherical and filt.admits(s)]
+            pa = [dict(system_payload(s), type=str(t)) for s, t in found if t.is_affine]
+            pn = [s for s, t in found if not t.is_affine]
             per_rank[str(k)] = {"affine": len(pa), "non_affine": len(pn)}
             affine.extend(pa)
             non_affine.extend(pn)
@@ -217,9 +219,7 @@ def enumerate_minimal_infinite(
     ]
     results = {
         "per_rank": per_rank,
-        "affine_classes": [
-            dict(system_payload(s), type=str(classify_irreducible(s))) for s in affine
-        ],
+        "affine_classes": affine,
         "non_affine_classes": [system_payload(s) for s in non_affine],
         "three_spherical_crystallographic_non_affine": [
             system_payload(s) for s in three_sph_cryst

@@ -78,6 +78,22 @@ def test_parse_error_positions():
     assert "cannot follow" in e.message
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("rank: \u00b2", 1, 7),
+        ("rank: 3\nedge: 0 1 \u00b2", 2, 11),
+        ("rank: 3\nedge: \u00b2 1 3", 2, 7),
+        ("rank: 3\nedge: 0 \u00b2 3", 2, 9),
+    ],
+    ids=["rank", "label", "first-vertex", "second-vertex"],
+)
+def test_parse_error_on_non_decimal_digits(text, line, column):
+    # superscript two passes str.isdigit but int() rejects it
+    e = err(text)
+    assert (e.line, e.column) == (line, column)
+
+
 def test_parse_error_str_carries_position():
     e = err("rank: 2\nedge: 0 1 2")
     assert str(e).startswith("line 2, column 11:")
@@ -185,6 +201,17 @@ def test_parse_error_exit_code(monkeypatch, capsys):
     assert "line 2, column 11" in errtext
 
 
+def test_non_decimal_label_exit_code(monkeypatch, capsys):
+    code, _, errtext = run_cli(
+        ["classify", "--stdin"],
+        stdin_text="rank: 3\nedge: 0 1 \u00b2\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2
+    assert errtext.startswith("error: line 2, column 11:")
+
+
 def test_missing_file_exit_code(capsys):
     code = main(["classify", "--input", "/nonexistent/diagram.txt"])
     capsys.readouterr()
@@ -221,10 +248,11 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_bad_labels(capsys):
-    code = main(["enumerate", "--max-rank", "3", "--labels", "2,x"])
-    _, errtext = capsys.readouterr()
-    assert code == 2
-    assert "bad label" in errtext
+    for labels in ("2,x", "2,\u00b2"):
+        code = main(["enumerate", "--max-rank", "3", "--labels", labels])
+        _, errtext = capsys.readouterr()
+        assert code == 2
+        assert "bad label" in errtext
 
 
 @pytest.mark.parametrize(
