@@ -35,22 +35,24 @@ def run(args: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--number", type=int, required=True, help="n in the output name BENCH_<n>.json")
+    p = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    p.add_argument(
+        "--number", type=int, required=True, help="n in the output name BENCH_<n>.json"
+    )
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     common = ["--seed", str(SEED), "--seconds", str(spec["run_seconds"])]
-    runs = [
-        (run(["--workload", "all", *common, "--trace", "0"]),
-         [(w["name"], 0) for w in spec["workloads"]]),
-        (run(["--workload", "queries", *common, "--trace", "1"]), [("queries", 1)]),
-    ]
+    untraced = run(["--workload", "all", *common, "--trace", "0"])
+    traced = run(["--workload", "queries", *common, "--trace", "1"])
+    made = [(w["name"], 0, untraced) for w in spec["workloads"]]
+    made.append(("queries", 1, traced))
     records = []
-    for cmd, keys in runs:
-        for workload, trace in keys:
-            path = OUT / f"{workload}-seed{SEED}-trace{trace}.json"
-            records.append(dict(json.loads(path.read_text(encoding="utf-8")), command=cmd))
+    for workload, trace, cmd in made:
+        path = OUT / f"{workload}-seed{SEED}-trace{trace}.json"
+        records.append(dict(json.loads(path.read_text(encoding="utf-8")), command=cmd))
     dest = ROOT / f"BENCH_{args.number}.json"
     dest.write_text(json.dumps({"records": records}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {dest.name}: {len(records)} records")

@@ -19,13 +19,8 @@ from .core import (
     is_simply_laced,
     label_sort_key,
 )
-from .classify import (
-    _facet_types,
-    classify_irreducible,
-    is_k_spherical,
-    is_spherical,
-    signature,
-)
+from .classify import _facet_types, classify_irreducible, is_k_spherical
+from .classify import is_spherical, signature
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
