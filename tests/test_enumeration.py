@@ -27,6 +27,7 @@ from coxtools import (
     worker_map,
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
+from coxtools.enumeration import _expand_parent
 from coxtools.experiments import _FacetsSpherical
 from conftest import coxeter_systems, permuted
 
@@ -363,6 +364,81 @@ def test_filter_oracles_see_both_verdicts():
         assert filt.admits(s) == oracle_admits(filt, s)
         assert filt.extendable(s) == oracle_sph_or_aff(s)
         assert _FacetsSpherical(label_set=ALL_LABELS).admits(s) == oracle_facets_spherical(s)
+
+
+# -- child generation against the unpruned generator ----------------------------
+#
+# The oracle tries every label vector of the new vertex, runs the full
+# `admits` on each child and keeps the canonical codes.  Its levels are built
+# with itself, so the parents the test draws never pass through the
+# generator under test.
+
+
+def oracle_expand(parent, filt):
+    rows = [list(row) for row in parent.labels]
+    out = set()
+    for vec in product(filt.effective_labels(), repeat=parent.rank):
+        child = CoxeterSystem.from_rows(
+            [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
+        )
+        if filt.admits(child):
+            out.add(canonical_code(child))
+    return sorted(out)
+
+
+_PROPER = dict(all_proper_parabolics_spherical_or_affine=True)
+_FIVE_INF = frozenset({2, 3, 5, INFINITY})
+
+# (filter, largest parent rank): every filter kind, label sets with 5 and inf
+EXPANSION_SCOPES = [
+    (EnumFilter(label_set=_FIVE_INF), 4),
+    (EnumFilter(label_set=ALL_LABELS), 3),
+    (EnumFilter(label_set=frozenset({2, 3, 4, INFINITY}), connected_only=False), 3),
+    (EnumFilter(label_set=ALL_LABELS, k_spherical=1), 3),
+    (EnumFilter(label_set=_FIVE_INF, k_spherical=2), 4),
+    (EnumFilter(label_set=ALL_LABELS, k_spherical=3), 4),
+    (EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3), 5),
+    (EnumFilter(label_set=_FIVE_INF, k_spherical=4), 4),
+    (EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 6),
+    (EnumFilter(label_set=_FIVE_INF, **_PROPER), 5),
+    (EnumFilter(label_set=ALL_LABELS, **_PROPER), 4),
+    (EnumFilter(label_set=frozenset({2, 3}), **_PROPER), 7),
+    (EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=False, **_PROPER), 4),
+    (EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3, **_PROPER), 5),
+    (_FacetsSpherical(label_set=ALL_LABELS), 4),
+    (_FacetsSpherical(label_set=frozenset({2, 3, 4, 6, INFINITY})), 5),
+]
+
+_ORACLE_PARENTS: dict[int, list[CoxeterSystem]] = {}
+
+
+def oracle_parents(scope: int) -> list[CoxeterSystem]:
+    """The admitted, extendable classes of ranks 0..max, from oracle_expand."""
+    if scope not in _ORACLE_PARENTS:
+        filt, max_rank = EXPANSION_SCOPES[scope]
+        parents = [CoxeterSystem.empty()]
+        level = parents
+        for _ in range(max_rank):
+            codes = set()
+            for p in level:
+                codes.update(oracle_expand(p, filt))
+            level = [s for s in map(system_from_code, sorted(codes)) if filt.extendable(s)]
+            parents.extend(level)
+        _ORACLE_PARENTS[scope] = parents
+    return _ORACLE_PARENTS[scope]
+
+
+@given(st.integers(min_value=0, max_value=len(EXPANSION_SCOPES) - 1), st.data())
+@settings(max_examples=200)
+def test_expand_parent_matches_unpruned_generator(scope, data):
+    filt = EXPANSION_SCOPES[scope][0]
+    parent = data.draw(st.sampled_from(oracle_parents(scope)), label="parent")
+    assert _expand_parent(parent, filt) == oracle_expand(parent, filt)
+
+
+def test_expansion_scopes_reach_their_largest_parents():
+    for scope, (filt, max_rank) in enumerate(EXPANSION_SCOPES):
+        assert max(p.rank for p in oracle_parents(scope)) == max_rank, filt
 
 
 # -- minimal infinite subsets ---------------------------------------------------

@@ -189,6 +189,12 @@ PINNED_SCOPES = {
         ),
         "1bb34bfb299662234445acded77b647829cdeb90efac6dc9b0bfe4e890d32def",
     ),
+    "quasi-minimal/2,3,4/r8": (
+        lambda jobs: enumerate_quasi_minimal(
+            EnumFilter(label_set=frozenset({2, 3, 4}), **_QUASI), 8, jobs=jobs
+        ),
+        "a1ac9d50f46c452c461a4909122880a44cb91449aa3ed75d0eeecea5cae5eb55",
+    ),
 }
 
 
