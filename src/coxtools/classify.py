@@ -319,9 +319,14 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
     Anything matching no table entry is Indefinite; that catch-all is what the
     signature oracle certifies.
     """
-    n = system.rank
-    if n == 0 or not is_connected(system):
+    if system.rank == 0 or not is_connected(system):
         raise ValueError("classify_irreducible needs a nonempty connected diagram")
+    return _classify_connected(system)
+
+
+def _classify_connected(system: CoxeterSystem) -> TypeClass:
+    """classify_irreducible for a diagram already known to be nonempty and connected."""
+    n = system.rank
     if n == 1:
         return _sph("A1")
     if n == 2:
@@ -404,7 +409,7 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
 def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
     """Classification of every connected component, in component order."""
     return [
-        (comp, classify_irreducible(_slice(system.labels, comp)))
+        (comp, _classify_connected(_slice(system.labels, comp)))
         for comp in components(system)
     ]
 
@@ -415,6 +420,42 @@ def _facet_types(system: CoxeterSystem) -> Iterator[TypeClass]:
     for v in verts:
         for _, t in classify(_slice(system.labels, [j for j in verts if j != v])):
             yield t
+
+
+def _types_through_last(system: CoxeterSystem) -> Iterator[TypeClass]:
+    """Type of the component through the last vertex v of every subdiagram
+    with one other vertex deleted.
+
+    When the system minus v is a diagram whose components pass a hereditary
+    test, every other component of such a facet lies inside it and passes too.
+    """
+    labels = system.labels
+    n = system.rank
+    adj = _adjacency(labels)
+    everything = (1 << n) - 1
+    for u in range(n - 1):
+        comp = _reach(adj, everything ^ (1 << u), 1 << (n - 1))
+        yield _classify_connected(_slice(labels, [j for j in range(n) if comp >> j & 1]))
+
+
+def _adjacency(labels) -> list[int]:
+    """Neighbour bitmask of every vertex."""
+    n = len(labels)
+    return [
+        sum(1 << j for j in range(n) if j != i and labels[i][j] != 2) for i in range(n)
+    ]
+
+
+def _reach(adj: list[int], mask: int, start: int) -> int:
+    """Bitmask of the vertices of mask reachable inside it from start."""
+    seen = frontier = start
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        new = adj[v] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen
 
 
 # -- derived predicates --------------------------------------------------------
@@ -485,10 +526,7 @@ class _SphericalClosure:
         labels = system.labels
         n = system.rank
         self.labels = labels
-        self.adj = [
-            sum(1 << j for j in range(n) if j != i and labels[i][j] != 2)
-            for i in range(n)
-        ]
+        self.adj = adj = _adjacency(labels)
         self.minimal: list[tuple[tuple[int, ...], int, Optional[TypeClass]]] = []
         self.max_rank = 0
         level = [((v,), 1 << v) for v in range(n)]
@@ -503,29 +541,18 @@ class _SphericalClosure:
                         continue
                     cverts = verts + (v,)
                     t = None
-                    if not self._connected(cand):
+                    if _reach(adj, cand, cand & -cand) != cand:
                         spherical = True
                     elif len(cverts) <= 3:
                         spherical = _small_spherical(labels, cverts)
                     else:
-                        t = classify_irreducible(_slice(labels, cverts))
+                        t = _classify_connected(_slice(labels, cverts))
                         spherical = t.is_spherical
                     if spherical:
                         nxt.append((cverts, cand))
                     else:
                         self.minimal.append((cverts, cand, t))
             level = nxt
-
-    def _connected(self, mask: int) -> bool:
-        adj = self.adj
-        seen = frontier = mask & -mask
-        while frontier:
-            v = frontier.bit_length() - 1
-            frontier ^= 1 << v
-            new = adj[v] & mask & ~seen
-            seen |= new
-            frontier |= new
-        return seen == mask
 
     def affine(self, start: int) -> Iterator[tuple[tuple[int, ...], TypeClass]]:
         """(vertices, type) of each irreducible affine subset of size >= start,
@@ -538,7 +565,7 @@ class _SphericalClosure:
             if len(verts) < start:
                 continue
             if t is None:
-                t = classify_irreducible(_slice(self.labels, verts))
+                t = _classify_connected(_slice(self.labels, verts))
             if t.is_affine:
                 yield verts, t
 

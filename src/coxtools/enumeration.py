@@ -13,13 +13,22 @@ subdiagrams are spherical (resp. spherical-or-affine) loses a non-cut vertex
 to a diagram that is itself spherical (resp. spherical-or-affine), so only
 the classical families ever need extending and the search stays small even
 at rank 11.
+
+A parent is admitted and extendable, so its children are screened only
+through the new vertex v.  The label vector of v is assigned depth-first, and
+a prefix is dropped as soon as it fixes a triple {a, b, v} that the filter's
+triple table rejects: a table over the label triples, built once per filter
+from is_spherical and classify on 3-vertex systems.  A surviving child then
+needs only the component through v of each facet classified; every other
+component of a facet lies in the parent.  EnumFilter.admits stays the
+standalone check.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
@@ -33,7 +42,8 @@ from .core import (
     is_infinite_label,
     label_sort_key,
 )
-from .classify import _facet_types, classify, is_k_spherical
+from .classify import _facet_types, _types_through_last, classify
+from .classify import is_k_spherical, is_spherical
 
 RANK_CAP = 11
 
@@ -154,8 +164,9 @@ class EnumFilter:
             ):
                 raise ValueError(f"bad label {m!r} in label set")
         object.__setattr__(self, "label_set", ls)
-        if self.k_spherical is not None and self.k_spherical < 1:
-            raise ValueError("k_spherical must be positive")
+        k = self.k_spherical
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise ValueError(f"k_spherical must be a positive integer, not {k!r}")
 
     def effective_labels(self) -> tuple[Label, ...]:
         ls = self.label_set
@@ -176,21 +187,41 @@ class EnumFilter:
             return False
         if self.k_spherical is not None and not is_k_spherical(system, self.k_spherical):
             return False
-        # componentwise spherical-or-affine survives restriction, so checking
-        # the vertex-deleted subdiagrams covers every proper subset
-        if self.all_proper_parabolics_spherical_or_affine and any(
-            t.is_indefinite for t in _facet_types(system)
-        ):
-            return False
-        return True
+        # the facet kinds are hereditary, so checking the vertex-deleted
+        # subdiagrams covers every proper subset
+        kinds = self._facet_kinds()
+        return kinds is None or all(t.kind in kinds for t in _facet_types(system))
 
     def extendable(self, system: CoxeterSystem) -> bool:
         """Whether the children of an admitted system are worth generating."""
-        # children of anything indefinite contain it as a proper subdiagram
-        # and are rejected anyway, so those subtrees can be cut up front
+        # a child has its parent as a facet, so a parent with a component of
+        # another kind has no admitted child and its subtree is cut up front
+        kinds = self._facet_kinds()
+        return kinds is None or all(t.kind in kinds for _, t in classify(system))
+
+    def _facet_kinds(self) -> Optional[frozenset]:
+        """The kinds every component of a proper subdiagram must have; None
+        when the filter puts no rule on proper subdiagrams."""
         if self.all_proper_parabolics_spherical_or_affine:
-            return not any(t.is_indefinite for _, t in classify(system))
-        return True
+            return frozenset({"spherical", "affine"})
+        return None
+
+    def _admits_extension(self, child: CoxeterSystem) -> bool:
+        """admits, for a child of an admitted, extendable parent that has the
+        new vertex last, a label vector from _label_vectors, and is connected
+        if the filter asks for it.
+
+        Every subset without the new vertex passed in the parent, so only the
+        subsets through it are tested.  Under k_spherical 3 from rank 3 on,
+        the triple table has seen them all; under the facet rule, only the
+        component through the new vertex of each facet can fail.
+        """
+        k = self.k_spherical
+        if k is not None and not (k == 3 and child.rank >= 3):
+            if not is_k_spherical(child, k):
+                return False
+        kinds = self._facet_kinds()
+        return kinds is None or all(t.kind in kinds for t in _types_through_last(child))
 
     def payload(self) -> dict:
         return {
@@ -226,18 +257,71 @@ def worker_map(jobs: int = 1) -> Iterator[Callable]:
         yield pool.imap
 
 
+@cache
+def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
+    """Which triples {a, b, v} through the new vertex v a child of the given
+    rank may induce, or None when it may induce every one.
+
+    With L = filt.effective_labels(), bit q of table[x][p] is set when the
+    triple with m(a, b) = L[x], m(a, v) = L[p] and m(b, v) = L[q] passes:
+    spherical under k_spherical >= 3, and from rank 4 on, where the triple is
+    a proper subdiagram, every component of a facet kind.
+    """
+    labels = filt.effective_labels()
+    need_spherical = filt.k_spherical is not None and filt.k_spherical >= 3
+    kinds = filt._facet_kinds() if rank >= 4 else None
+    if rank < 3 or not need_spherical and kinds is None:
+        return None
+    table = [[0] * len(labels) for _ in labels]
+    rejected = False
+    for (x, ab), (p, av), (q, bv) in product(enumerate(labels), repeat=3):
+        triple = CoxeterSystem.from_rows([[1, ab, av], [ab, 1, bv], [av, bv, 1]])
+        if (not need_spherical or is_spherical(triple)) and (
+            kinds is None or all(t.kind in kinds for _, t in classify(triple))
+        ):
+            table[x][p] |= 1 << q
+        else:
+            rejected = True
+    return table if rejected else None
+
+
+def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
+    """The label vectors of a new vertex v with no triple {a, b, v} that
+    _triple_table rejects, assigned depth-first so that a prefix is dropped as
+    soon as it fixes one."""
+    labels = filt.effective_labels()
+    n = parent.rank
+    table = _triple_table(filt, min(n + 1, 4))
+    if table is None:
+        return list(product(labels, repeat=n))
+    index = {m: x for x, m in enumerate(labels)}
+    everything = (1 << len(labels)) - 1
+    vecs: list[tuple] = [()]
+    for b in range(n):
+        rows = [table[index[parent.labels[a][b]]] for a in range(b)]
+        nxt = []
+        for vec in vecs:
+            allowed = everything
+            for row, p in zip(rows, vec):
+                allowed &= row[p]
+            nxt.extend(vec + (q,) for q in range(len(labels)) if allowed >> q & 1)
+        vecs = nxt
+    return [tuple(labels[q] for q in vec) for vec in vecs]
+
+
 def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
-    """All admissible one-vertex extensions of one parent, as canonical codes."""
+    """All admissible one-vertex extensions of one admitted, extendable
+    parent, as canonical codes."""
     rows = [list(row) for row in parent.labels]
     out = set()
-    for vec in product(filt.effective_labels(), repeat=parent.rank):
+    for vec in _label_vectors(parent, filt):
         # a new vertex joined to nothing leaves a nonempty parent disconnected
         if filt.connected_only and rows and all(m == 2 for m in vec):
             continue
         child = CoxeterSystem.from_rows(
             [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
         )
-        if filt.admits(child):
+        if filt._admits_extension(child):
             out.add(canonical_code(child))
     return sorted(out)
 

@@ -14,13 +14,11 @@ from typing import Optional
 
 from .core import (
     CoxeterSystem,
-    is_connected,
     is_crystallographic,
     is_simply_laced,
     label_sort_key,
 )
-from .classify import _facet_types, classify_irreducible, is_k_spherical
-from .classify import is_spherical, signature
+from .classify import classify_irreducible, is_k_spherical, signature
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
@@ -148,8 +146,8 @@ def verify_engine_agreement(
 
 
 class _FacetsSpherical(EnumFilter):
-    """Connected diagrams all of whose vertex-deleted subdiagrams are
-    spherical: the spherical ones and the minimal infinite ones.
+    """Connected diagrams over the label set all of whose vertex-deleted
+    subdiagrams are spherical: the spherical ones and the minimal infinite ones.
 
     Only the spherical ones are extended; every child of a minimal infinite
     diagram contains it as a facet.  Parabolic subgroups of finite groups are
@@ -157,11 +155,8 @@ class _FacetsSpherical(EnumFilter):
     minimal infinite ones.
     """
 
-    def admits(self, system: CoxeterSystem) -> bool:
-        return is_connected(system) and all(t.is_spherical for t in _facet_types(system))
-
-    def extendable(self, system: CoxeterSystem) -> bool:
-        return is_spherical(system)
+    def _facet_kinds(self) -> frozenset:
+        return frozenset({"spherical"})
 
 
 def enumerate_minimal_infinite(

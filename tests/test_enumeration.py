@@ -27,7 +27,7 @@ from coxtools import (
     worker_map,
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
-from coxtools.enumeration import _expand_parent
+from coxtools.enumeration import _expand_parent, _triple_table
 from coxtools.experiments import _FacetsSpherical
 from conftest import coxeter_systems, permuted
 
@@ -240,6 +240,12 @@ def test_filter_requires_label_two():
         EnumFilter(label_set=frozenset({2, 3}), k_spherical=0)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.5, 3.0, "3", 0, -1])
+def test_filter_rejects_a_bad_k_spherical(k):
+    with pytest.raises(ValueError, match="k_spherical"):
+        EnumFilter(label_set=frozenset({2, 3}), k_spherical=k)
+
+
 def test_filter_masks():
     f = EnumFilter(
         label_set=frozenset({2, 3, 4, 5, 6, INFINITY}),
@@ -434,6 +440,17 @@ def test_expand_parent_matches_unpruned_generator(scope, data):
     filt = EXPANSION_SCOPES[scope][0]
     parent = data.draw(st.sampled_from(oracle_parents(scope)), label="parent")
     assert _expand_parent(parent, filt) == oracle_expand(parent, filt)
+
+
+def test_triple_table_is_skipped_when_it_rejects_nothing():
+    quasi = dict(all_proper_parabolics_spherical_or_affine=True)
+    # a triangle with a 4 is indefinite; no {2,3} triple is
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **quasi), 4)
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3}), **quasi), 4) is None
+    # proper subdiagrams have no rule below rank 4, connectivity none at all
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **quasi), 3) is None
+    assert _triple_table(EnumFilter(label_set=ALL_LABELS), 4) is None
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3), 3)
 
 
 def test_expansion_scopes_reach_their_largest_parents():
