@@ -440,10 +440,14 @@ def _types_through_last(system: CoxeterSystem) -> Iterator[TypeClass]:
 
 def _adjacency(labels) -> list[int]:
     """Neighbour bitmask of every vertex."""
-    n = len(labels)
-    return [
-        sum(1 << j for j in range(n) if j != i and labels[i][j] != 2) for i in range(n)
-    ]
+    out = []
+    for i, row in enumerate(labels):
+        mask = 0
+        for j, m in enumerate(row):
+            if m != 2:
+                mask |= 1 << j
+        out.append(mask ^ (1 << i))  # the diagonal label 1 set bit i
+    return out
 
 
 def _reach(adj: list[int], mask: int, start: int) -> int:

@@ -18,7 +18,7 @@ A parent is admitted and extendable, so its children are screened only
 through the new vertex v.  The label vector of v is assigned depth-first, and
 a prefix is dropped as soon as it fixes a triple {a, b, v} that the filter's
 triple table rejects: a table over the label triples, built once per filter
-from is_spherical and classify on 3-vertex systems.  A surviving child then
+by classify on 3-vertex systems.  A surviving child then
 needs only the component through v of each facet classified; every other
 component of a facet lies in the parent.  EnumFilter.admits stays the
 standalone check.
@@ -42,8 +42,7 @@ from .core import (
     is_infinite_label,
     label_sort_key,
 )
-from .classify import _facet_types, _types_through_last, classify
-from .classify import is_k_spherical, is_spherical
+from .classify import _facet_types, _types_through_last, classify, is_k_spherical
 
 RANK_CAP = 11
 
@@ -145,7 +144,11 @@ def system_from_code(code: bytes) -> CoxeterSystem:
 
 @dataclass(frozen=True)
 class EnumFilter:
-    """Hereditary constraints applied at every rank of the augmentation."""
+    """Hereditary constraints applied at every rank of the augmentation.
+
+    The generator screens children with _admits_extension, not admits; a
+    subclass changes the rule on proper subdiagrams through _facet_kinds.
+    """
 
     label_set: frozenset
     connected_only: bool = True
@@ -262,23 +265,22 @@ def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
     """Which triples {a, b, v} through the new vertex v a child of the given
     rank may induce, or None when it may induce every one.
 
-    With L = filt.effective_labels(), bit q of table[x][p] is set when the
-    triple with m(a, b) = L[x], m(a, v) = L[p] and m(b, v) = L[q] passes:
-    spherical under k_spherical >= 3, and from rank 4 on, where the triple is
-    a proper subdiagram, every component of a facet kind.
+    With L = filt.effective_labels(), bit q of table[x][p] is set when every
+    component of the triple with m(a, b) = L[x], m(a, v) = L[p] and
+    m(b, v) = L[q] has an allowed kind: spherical under k_spherical >= 3, and
+    from rank 4 on, where the triple is a proper subdiagram, a facet kind.
     """
     labels = filt.effective_labels()
-    need_spherical = filt.k_spherical is not None and filt.k_spherical >= 3
     kinds = filt._facet_kinds() if rank >= 4 else None
-    if rank < 3 or not need_spherical and kinds is None:
+    if filt.k_spherical is not None and filt.k_spherical >= 3:
+        kinds = frozenset({"spherical"})  # every facet rule allows it too
+    if rank < 3 or kinds is None:
         return None
     table = [[0] * len(labels) for _ in labels]
     rejected = False
     for (x, ab), (p, av), (q, bv) in product(enumerate(labels), repeat=3):
         triple = CoxeterSystem.from_rows([[1, ab, av], [ab, 1, bv], [av, bv, 1]])
-        if (not need_spherical or is_spherical(triple)) and (
-            kinds is None or all(t.kind in kinds for _, t in classify(triple))
-        ):
+        if all(t.kind in kinds for _, t in classify(triple)):
             table[x][p] |= 1 << q
         else:
             rejected = True
