@@ -220,9 +220,8 @@ class EnumFilter:
         component through the new vertex of each facet can fail.
         """
         k = self.k_spherical
-        if k is not None and not (k == 3 and child.rank >= 3):
-            if not is_k_spherical(child, k):
-                return False
+        if k is not None and (k != 3 or child.rank < 3) and not is_k_spherical(child, k):
+            return False
         kinds = self._facet_kinds()
         return kinds is None or all(t.kind in kinds for t in _types_through_last(child))
 

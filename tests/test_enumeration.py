@@ -443,12 +443,11 @@ def test_expand_parent_matches_unpruned_generator(scope, data):
 
 
 def test_triple_table_is_skipped_when_it_rejects_nothing():
-    quasi = dict(all_proper_parabolics_spherical_or_affine=True)
     # a triangle with a 4 is indefinite; no {2,3} triple is
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **quasi), 4)
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3}), **quasi), 4) is None
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 4)
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3}), **_PROPER), 4) is None
     # proper subdiagrams have no rule below rank 4, connectivity none at all
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **quasi), 3) is None
+    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 3) is None
     assert _triple_table(EnumFilter(label_set=ALL_LABELS), 4) is None
     assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3), 3)
 
