@@ -27,10 +27,6 @@ def cycle_system(labels: list[Label] | tuple[Label, ...]) -> CoxeterSystem:
     return CoxeterSystem.from_edges(n, edges)
 
 
-def _tree(rank: int, edges: dict[tuple[int, int], Label]) -> CoxeterSystem:
-    return CoxeterSystem.from_edges(rank, edges)
-
-
 def type_A(n: int) -> CoxeterSystem:
     if n < 1:
         raise ValueError("A_n needs n >= 1")
@@ -49,7 +45,7 @@ def type_D(n: int) -> CoxeterSystem:
     # path 0..n-2 plus a second leaf n-1 on the fork vertex n-3
     edges: dict[tuple[int, int], Label] = {(i, i + 1): 3 for i in range(n - 2)}
     edges[(n - 3, n - 1)] = 3
-    return _tree(n, edges)
+    return CoxeterSystem.from_edges(n, edges)
 
 
 def type_E(n: int) -> CoxeterSystem:
@@ -58,7 +54,7 @@ def type_E(n: int) -> CoxeterSystem:
     # path 0..n-2 plus the leaf n-1 on vertex 2 (arm lengths 2, n-4, 1)
     edges: dict[tuple[int, int], Label] = {(i, i + 1): 3 for i in range(n - 2)}
     edges[(2, n - 1)] = 3
-    return _tree(n, edges)
+    return CoxeterSystem.from_edges(n, edges)
 
 
 def type_F4() -> CoxeterSystem:
@@ -98,7 +94,7 @@ def affine_B(n: int) -> CoxeterSystem:
     for i in range(2, n - 1):
         edges[(i, i + 1)] = 3
     edges[(n - 1, n)] = 4
-    return _tree(n + 1, edges)
+    return CoxeterSystem.from_edges(n + 1, edges)
 
 
 def affine_C(n: int) -> CoxeterSystem:
@@ -113,13 +109,13 @@ def affine_D(n: int) -> CoxeterSystem:
     if n < 4:
         raise ValueError("~D_n needs n >= 4")
     if n == 4:
-        return _tree(5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3})
+        return CoxeterSystem.from_edges(5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3})
     edges: dict[tuple[int, int], Label] = {(0, 2): 3, (1, 2): 3}
     for i in range(2, n - 2):
         edges[(i, i + 1)] = 3
     edges[(n - 2, n - 1)] = 3
     edges[(n - 2, n)] = 3
-    return _tree(n + 1, edges)
+    return CoxeterSystem.from_edges(n + 1, edges)
 
 
 def affine_E(n: int) -> CoxeterSystem:
@@ -134,7 +130,7 @@ def affine_E(n: int) -> CoxeterSystem:
         edges[(0, n)] = 3  # arms become 3, 3, 1
     else:
         edges[(n - 2, n)] = 3  # arms become 2, 5, 1
-    return _tree(n + 1, edges)
+    return CoxeterSystem.from_edges(n + 1, edges)
 
 
 def affine_F4() -> CoxeterSystem:
@@ -150,7 +146,7 @@ def overextended_E8() -> CoxeterSystem:
     base = affine_E(8)
     edges = {(i, j): m for i, j, m in base.edges()}
     edges[(8, 9)] = 3
-    return _tree(10, edges)
+    return CoxeterSystem.from_edges(10, edges)
 
 
 _PLAIN = {

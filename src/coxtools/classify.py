@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -523,7 +523,8 @@ class _SphericalClosure:
 
     max_rank is the largest size of a spherical subset; minimal lists the
     minimal infinite subsets in (size, lex) order as (vertices, mask, type),
-    with type None where the walk did not need to classify the subset.
+    with type None until the walk or affine classifies the subset; affine
+    stores every type it classifies, so no subset is classified twice.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -565,16 +566,19 @@ class _SphericalClosure:
         Every irreducible affine diagram is minimal infinite, so these are
         the affine members of minimal.
         """
-        for verts, _, t in self.minimal:
+        for i, (verts, mask, t) in enumerate(self.minimal):
             if len(verts) < start:
                 continue
             if t is None:
                 t = _classify_connected(_slice(self.labels, verts))
+                self.minimal[i] = (verts, mask, t)
             if t.is_affine:
                 yield verts, t
 
-    def first_affine(self, start: int) -> Optional[tuple[int, ...]]:
-        return next((verts for verts, _ in self.affine(start)), None)
+
+# The only way to get a walk.  One entry suffices because scans of one diagram
+# come in a row: is_hyperbolic then kazhdan_threshold or has_affine_parabolic.
+_closure = lru_cache(maxsize=1)(_SphericalClosure)
 
 
 def has_affine_parabolic(
@@ -586,12 +590,13 @@ def has_affine_parabolic(
     dihedral group, which contains no Z x Z, so it only counts as a witness
     when include_rank2_infty is set.
     """
-    return _SphericalClosure(system).first_affine(2 if include_rank2_infty else 3)
+    start = 2 if include_rank2_infty else 3
+    return next((verts for verts, _ in _closure(system).affine(start)), None)
 
 
 def max_spherical_rank(system: CoxeterSystem) -> int:
     """Largest size of a generating subset spanning a finite subgroup."""
-    return _SphericalClosure(system).max_rank
+    return _closure(system).max_rank
 
 
 def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
@@ -600,7 +605,7 @@ def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
     Every infinite subset contains one of these, and they are pairwise
     incomparable; returned in (size, lex) order.
     """
-    return [verts for verts, _, _ in _SphericalClosure(system).minimal]
+    return [verts for verts, _, _ in _closure(system).minimal]
 
 
 # -- Kazhdan threshold ----------------------------------------------------------

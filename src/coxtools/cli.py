@@ -20,7 +20,14 @@ import sys
 from typing import Optional
 
 from .catalog import standard_system
-from .classify import _SphericalClosure, classify, is_spherical, kazhdan_threshold
+from .classify import (
+    classify,
+    has_affine_parabolic,
+    is_spherical,
+    kazhdan_threshold,
+    max_spherical_rank,
+    minimal_infinite_subsets,
+)
 from .core import INFINITY, CoxeterSystem, Label, label_text
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .experiments import (
@@ -210,38 +217,30 @@ def _witness_payload(witness) -> Optional[dict]:
 def _cmd_hyperbolic(ns: argparse.Namespace) -> int:
     system = _read_diagram(ns)
     verdict = is_hyperbolic(system)
+    w = verdict.witness
     payload = {
         "diagram": system_payload(system),
         "verdict": "hyperbolic" if verdict.hyperbolic else "not_hyperbolic",
-        "witness": _witness_payload(verdict.witness),
+        "witness": _witness_payload(w),
     }
     if verdict.hyperbolic:
         lines = ["hyperbolic"]
-    elif isinstance(verdict.witness, AffineSubset):
-        lines = [
-            "not hyperbolic: affine parabolic on "
-            + _subset_text(verdict.witness.subset)
-        ]
+    elif isinstance(w, AffineSubset):
+        lines = [f"not hyperbolic: affine parabolic on {_subset_text(w.subset)}"]
     else:
-        w = verdict.witness
-        lines = [
-            "not hyperbolic: commuting infinite pair "
-            + _subset_text(w.left)
-            + " x "
-            + _subset_text(w.right)
-        ]
+        pair = f"{_subset_text(w.left)} x {_subset_text(w.right)}"
+        lines = [f"not hyperbolic: commuting infinite pair {pair}"]
     _emit(payload, ns, lines)
     return 0
 
 
 def _cmd_parabolics(ns: argparse.Namespace) -> int:
     system = _read_diagram(ns)
-    closure = _SphericalClosure(system)
-    minimal = [verts for verts, _, _ in closure.minimal]
-    aff = closure.first_affine(3)
+    minimal = minimal_infinite_subsets(system)
+    aff = has_affine_parabolic(system)
     payload = {
         "diagram": system_payload(system),
-        "max_spherical_rank": closure.max_rank,
+        "max_spherical_rank": max_spherical_rank(system),
         "minimal_infinite": [list(s) for s in minimal],
         "affine_parabolic": list(aff) if aff is not None else None,
     }
@@ -251,10 +250,7 @@ def _cmd_parabolics(ns: argparse.Namespace) -> int:
         lines.extend(f"  {_subset_text(s)}" for s in minimal)
     else:
         lines.append("minimal infinite subsets: none (every subset is spherical)")
-    if aff is not None:
-        lines.append(f"affine parabolic: {_subset_text(aff)}")
-    else:
-        lines.append("affine parabolic: none")
+    lines.append(f"affine parabolic: {'none' if aff is None else _subset_text(aff)}")
     _emit(payload, ns, lines)
     return 0
 
@@ -433,10 +429,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return ns.fn(ns)
-    except DiagramParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DiagramParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -12,8 +12,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import CoxeterSystem, is_connected, is_crystallographic, is_simply_laced, restrict
-from .classify import _SphericalClosure, classify_irreducible, is_k_spherical, is_spherical
+from .core import (
+    CoxeterSystem,
+    _check_subset,
+    is_connected,
+    is_crystallographic,
+    is_simply_laced,
+    restrict,
+)
+from .classify import (
+    _closure,
+    classify_irreducible,
+    has_affine_parabolic,
+    is_k_spherical,
+    is_spherical,
+    minimal_infinite_subsets,
+)
 
 
 @dataclass(frozen=True)
@@ -48,10 +62,7 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     (total size, lex) order is returned, pairs before affine subsets, so the
     output is schedule-independent.
     """
-    return _verdict(_SphericalClosure(system))
-
-
-def _verdict(closure: _SphericalClosure) -> HyperbolicityVerdict:
+    closure = _closure(system)
     adj = closure.adj
     best: Optional[tuple] = None
     for a, (I, mask_i, _) in enumerate(closure.minimal):
@@ -67,14 +78,17 @@ def _verdict(closure: _SphericalClosure) -> HyperbolicityVerdict:
                     best = key
     if best is not None:
         return HyperbolicityVerdict(False, CommutingInfinitePair(best[1], best[2]))
-    aff = closure.first_affine(3)
+    aff = has_affine_parabolic(system)
     if aff is not None:
         return HyperbolicityVerdict(False, AffineSubset(aff))
     return HyperbolicityVerdict(True)
 
 
 def validate_witness(system: CoxeterSystem, witness: ZxZWitness) -> bool:
-    """Re-check a witness against the classifier, from scratch."""
+    """Re-check a witness against the classifier, from scratch.
+
+    A vertex index outside the system raises ValueError.
+    """
     if isinstance(witness, AffineSubset):
         J = witness.subset
         if len(J) < 3:
@@ -82,14 +96,12 @@ def validate_witness(system: CoxeterSystem, witness: ZxZWitness) -> bool:
         sub = restrict(system, J)
         return is_connected(sub) and classify_irreducible(sub).is_affine
     if isinstance(witness, CommutingInfinitePair):
-        I, J = witness.left, witness.right
+        I, J = _check_subset(system, witness.left), _check_subset(system, witness.right)
         if not I or not J or set(I) & set(J):
             return False
         if any(system.labels[s][t] != 2 for s in I for t in J):
             return False
-        return not is_spherical(restrict(system, I)) and not is_spherical(
-            restrict(system, J)
-        )
+        return not any(is_spherical(restrict(system, K)) for K in (I, J))
     return False
 
 
@@ -112,18 +124,10 @@ def check_affine_criterion(system: CoxeterSystem) -> AffineCriterionCheck:
     hypotheses_ok = is_crystallographic(system) and (
         is_simply_laced(system) or is_k_spherical(system, 3)
     )
-    closure = _SphericalClosure(system)
-    verdict = _verdict(closure)
-    # the verdict searched for the affine parabolic unless a commuting pair
-    # settled it first
-    if isinstance(verdict.witness, CommutingInfinitePair):
-        aff = closure.first_affine(3)
-    elif isinstance(verdict.witness, AffineSubset):
-        aff = verdict.witness.subset
-    else:
-        aff = None
-    consistent = (not hypotheses_ok) or (verdict.hyperbolic == (aff is None))
-    return AffineCriterionCheck(hypotheses_ok, verdict.hyperbolic, aff, consistent)
+    hyperbolic = is_hyperbolic(system).hyperbolic
+    aff = has_affine_parabolic(system)
+    consistent = (not hypotheses_ok) or (hyperbolic == (aff is None))
+    return AffineCriterionCheck(hypotheses_ok, hyperbolic, aff, consistent)
 
 
 @dataclass(frozen=True)
@@ -140,13 +144,13 @@ class AffineSearchResult:
 
 
 def _check_minimal_infinite(system: CoxeterSystem, J: tuple[int, ...], tag: str) -> None:
-    if not J:
-        raise ValueError(f"{tag} must be nonempty")
-    if is_spherical(restrict(system, J)):
+    # J is minimal infinite iff it is its own only minimal infinite subset; an
+    # empty J has none
+    found = minimal_infinite_subsets(restrict(system, J))
+    if not found:
         raise ValueError(f"{tag} must generate an infinite subgroup")
-    for i in range(len(J)):
-        if not is_spherical(restrict(system, J[:i] + J[i + 1 :])):
-            raise ValueError(f"{tag} must be minimal infinite")
+    if found != [tuple(range(len(J)))]:
+        raise ValueError(f"{tag} must be minimal infinite")
 
 
 def _shortest_bridge(
@@ -191,8 +195,8 @@ def affine_from_commuting(
     hypothesis class as far as the case analysis is trusted; when they do
     fire the flag says so.
     """
-    I = tuple(sorted(I))
-    J = tuple(sorted(J))
+    I = _check_subset(system, I)
+    J = _check_subset(system, J)
     if not is_connected(system):
         raise ValueError("system must be connected")
     if not is_crystallographic(system):
@@ -216,7 +220,7 @@ def affine_from_commuting(
     # so by the criterion it has an affine subset unless the classifier errs
     found = [
         (tuple(U[i] for i in K), t.name)
-        for K, t in _SphericalClosure(restrict(system, U)).affine(3)
+        for K, t in _closure(restrict(system, U)).affine(3)
     ]
     for K, name in found:
         if name.startswith(("~A", "~C")):

@@ -425,6 +425,37 @@ def test_has_affine_parabolic_brute_force(s):
         assert has_affine_parabolic(s, include_rank2_infty=flag) == want
 
 
+# every public scan that reads the cached walk; the threshold needs rank >= 1
+_CACHED_SCANS = {
+    "minimal_infinite_subsets": minimal_infinite_subsets,
+    "has_affine_parabolic": has_affine_parabolic,
+    "has_affine_parabolic_rank2": lambda s: has_affine_parabolic(
+        s, include_rank2_infty=True
+    ),
+    "max_spherical_rank": max_spherical_rank,
+    "is_hyperbolic": is_hyperbolic,
+    "check_affine_criterion": check_affine_criterion,
+    "kazhdan_threshold": lambda s: kazhdan_threshold(s) if s.rank else None,
+}
+
+
+@given(mixed_systems(), mixed_systems(), st.data())
+@settings(max_examples=150)
+def test_scan_answers_do_not_depend_on_call_order(s, other, data):
+    # each scan of s in a drawn order, sometimes followed by a scan of other,
+    # so the cache holds whatever types the previous scans stored
+    names = sorted(_CACHED_SCANS)
+    calls = []
+    for name in data.draw(st.permutations(names)):
+        calls.append((name, s))
+        if data.draw(st.booleans()):
+            calls.append((data.draw(st.sampled_from(names)), other))
+    answers = [_CACHED_SCANS[name](system) for name, system in calls]
+    for (name, system), answer in zip(calls, answers):
+        classify_module._closure.cache_clear()
+        assert answer == _CACHED_SCANS[name](system), name
+
+
 def test_disconnected_set_with_spherical_facets_is_spherical():
     # A2 + B2 + I2(5): every facet is spherical and the whole set is too
     s = CoxeterSystem.from_edges(6, {(0, 1): 3, (2, 3): 4, (4, 5): 5})

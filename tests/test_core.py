@@ -127,3 +127,13 @@ def test_components_partition_the_vertex_set(s):
             for u in comps[a]:
                 for v in comps[b]:
                     assert s.label(u, v) == 2
+    # each component is connected inside itself, by a search over its own edges
+    for comp in comps:
+        reached, frontier = {comp[0]}, [comp[0]]
+        while frontier:
+            u = frontier.pop()
+            for v in comp:
+                if v not in reached and s.label(u, v) != 2:
+                    reached.add(v)
+                    frontier.append(v)
+        assert reached == set(comp)

@@ -215,6 +215,8 @@ def test_affine_from_commuting_precondition_errors():
         affine_from_commuting(s, (0, 1, 2, 3), (3, 5, 6, 7))
     with pytest.raises(ValueError, match="infinite"):
         affine_from_commuting(s, (0, 1, 2), (5, 6, 7, 8))
+    with pytest.raises(ValueError, match="infinite"):
+        affine_from_commuting(s, (), (5, 6, 7, 8))
     # a pendant vertex makes the left side infinite but no longer minimal
     pend = bridged(
         [(0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 4),
@@ -240,3 +242,31 @@ def test_affine_from_commuting_precondition_errors():
     )
     with pytest.raises(ValueError, match="crystallographic"):
         affine_from_commuting(h, (0, 1, 2), (3, 4, 5))
+
+
+# (valid side, bad side, message) in two_cycles_with_bridge(): an index past
+# the rank, a bool that equals vertex 1 of the valid side, and -1, which
+# Python would read as vertex 8, a neighbour of the valid side
+BAD_INDICES = [
+    ((0, 1, 2, 3), (5, 6, 99), "vertex index 99 "),
+    ((0, 1, 2, 3), (4, 5, True), "vertex index True "),
+    ((5, 6, 7, 8), (0, 1, 2, -1), "vertex index -1 "),
+]
+
+
+@pytest.mark.parametrize("good, bad, message", BAD_INDICES)
+def test_affine_from_commuting_rejects_bad_indices(good, bad, message):
+    s = two_cycles_with_bridge()
+    with pytest.raises(ValueError, match=message):
+        affine_from_commuting(s, good, bad)
+    with pytest.raises(ValueError, match=message):
+        affine_from_commuting(s, bad, good)
+
+
+@pytest.mark.parametrize("good, bad, message", BAD_INDICES)
+def test_validate_witness_rejects_bad_indices(good, bad, message):
+    s = two_cycles_with_bridge()
+    with pytest.raises(ValueError, match=message):
+        validate_witness(s, CommutingInfinitePair(good, bad))
+    with pytest.raises(ValueError, match=message):
+        validate_witness(s, CommutingInfinitePair(bad, good))
