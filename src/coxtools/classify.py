@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 import mpmath
+from mpmath.libmp import mpf_sign
 
 from .core import (
     INFINITY,
@@ -136,9 +137,10 @@ def _gram_interval(system: CoxeterSystem):
 
 def _iv_sign(x) -> Optional[int]:
     """Sign of an interval if it excludes zero, else None."""
-    if x.a > 0:
+    a, b = x._mpi_  # the raw endpoints, so no interval zero is built
+    if mpf_sign(a) > 0:
         return 1
-    if x.b < 0:
+    if mpf_sign(b) < 0:
         return -1
     return None
 

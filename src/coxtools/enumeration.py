@@ -7,12 +7,13 @@ all the supported filters survive deleting one, so filtering at every level
 loses nothing.
 
 A filter also decides which admitted diagrams are extended at all
-(`EnumFilter.extendable`).  The minimal-infinite and quasi-minimal searches
-use this to sharpen the parent pools: a diagram all of whose proper
-subdiagrams are spherical (resp. spherical-or-affine) loses a non-cut vertex
-to a diagram that is itself spherical (resp. spherical-or-affine), so only
-the classical families ever need extending and the search stays small even
-at rank 11.
+(`EnumFilter.extendable`).  The quasi-minimal search uses this to sharpen its
+parent pool: a diagram all of whose proper subdiagrams are
+spherical-or-affine loses a non-cut vertex to a diagram that is itself
+spherical-or-affine, so only the classical families ever need extending and
+the search stays small even at rank 11.  The same search holds every minimal
+infinite diagram (all proper subdiagrams spherical), because each one grows
+from a connected spherical facet.
 
 A parent is admitted and extendable, so its children are screened only
 through the new vertex v.  The label vector of v is assigned depth-first, and
@@ -146,8 +147,7 @@ def system_from_code(code: bytes) -> CoxeterSystem:
 class EnumFilter:
     """Hereditary constraints applied at every rank of the augmentation.
 
-    The generator screens children with _admits_extension, not admits; a
-    subclass changes the rule on proper subdiagrams through _facet_kinds.
+    The generator screens children with _admits_extension, not admits.
     """
 
     label_set: frozenset
@@ -190,24 +190,17 @@ class EnumFilter:
             return False
         if self.k_spherical is not None and not is_k_spherical(system, self.k_spherical):
             return False
-        # the facet kinds are hereditary, so checking the vertex-deleted
-        # subdiagrams covers every proper subset
-        kinds = self._facet_kinds()
-        return kinds is None or all(t.kind in kinds for t in _facet_types(system))
+        # the rule is hereditary, so checking the vertex-deleted subdiagrams
+        # covers every proper subset
+        proper = self.all_proper_parabolics_spherical_or_affine
+        return not proper or not any(t.is_indefinite for t in _facet_types(system))
 
     def extendable(self, system: CoxeterSystem) -> bool:
         """Whether the children of an admitted system are worth generating."""
-        # a child has its parent as a facet, so a parent with a component of
-        # another kind has no admitted child and its subtree is cut up front
-        kinds = self._facet_kinds()
-        return kinds is None or all(t.kind in kinds for _, t in classify(system))
-
-    def _facet_kinds(self) -> Optional[frozenset]:
-        """The kinds every component of a proper subdiagram must have; None
-        when the filter puts no rule on proper subdiagrams."""
-        if self.all_proper_parabolics_spherical_or_affine:
-            return frozenset({"spherical", "affine"})
-        return None
+        # a child has its parent as a facet, so a parent with an indefinite
+        # component has no admitted child and its subtree is cut up front
+        proper = self.all_proper_parabolics_spherical_or_affine
+        return not proper or not any(t.is_indefinite for _, t in classify(system))
 
     def _admits_extension(self, child: CoxeterSystem) -> bool:
         """admits, for a child of an admitted, extendable parent that has the
@@ -216,14 +209,14 @@ class EnumFilter:
 
         Every subset without the new vertex passed in the parent, so only the
         subsets through it are tested.  Under k_spherical 3 from rank 3 on,
-        the triple table has seen them all; under the facet rule, only the
-        component through the new vertex of each facet can fail.
+        the triple table has seen them all; under the proper-parabolic rule,
+        only the component through the new vertex of each facet can fail.
         """
         k = self.k_spherical
         if k is not None and (k != 3 or child.rank < 3) and not is_k_spherical(child, k):
             return False
-        kinds = self._facet_kinds()
-        return kinds is None or all(t.kind in kinds for t in _types_through_last(child))
+        proper = self.all_proper_parabolics_spherical_or_affine
+        return not proper or not any(t.is_indefinite for t in _types_through_last(child))
 
     def payload(self) -> dict:
         return {
@@ -267,14 +260,18 @@ def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
     With L = filt.effective_labels(), bit q of table[x][p] is set when every
     component of the triple with m(a, b) = L[x], m(a, v) = L[p] and
     m(b, v) = L[q] has an allowed kind: spherical under k_spherical >= 3, and
-    from rank 4 on, where the triple is a proper subdiagram, a facet kind.
+    from rank 4 on, where the triple is a proper subdiagram, spherical or
+    affine under all_proper_parabolics_spherical_or_affine.
     """
-    labels = filt.effective_labels()
-    kinds = filt._facet_kinds() if rank >= 4 else None
-    if filt.k_spherical is not None and filt.k_spherical >= 3:
-        kinds = frozenset({"spherical"})  # every facet rule allows it too
-    if rank < 3 or kinds is None:
+    if rank < 3:
         return None
+    if filt.k_spherical is not None and filt.k_spherical >= 3:
+        kinds = frozenset({"spherical"})  # the proper-parabolic rule allows it too
+    elif filt.all_proper_parabolics_spherical_or_affine and rank >= 4:
+        kinds = frozenset({"spherical", "affine"})
+    else:
+        return None
+    labels = filt.effective_labels()
     table = [[0] * len(labels) for _ in labels]
     rejected = False
     for (x, ab), (p, av), (q, bv) in product(enumerate(labels), repeat=3):

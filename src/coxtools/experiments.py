@@ -12,13 +12,13 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from .core import (
-    CoxeterSystem,
-    is_crystallographic,
-    is_simply_laced,
-    label_sort_key,
+from .core import CoxeterSystem, is_crystallographic, is_simply_laced
+from .classify import (
+    classify_irreducible,
+    is_k_spherical,
+    minimal_infinite_subsets,
+    signature,
 )
-from .classify import classify_irreducible, is_k_spherical, signature
 from .enumeration import EnumFilter, iter_levels, worker_map
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
@@ -145,41 +145,37 @@ def verify_engine_agreement(
     )
 
 
-class _FacetsSpherical(EnumFilter):
-    """Connected diagrams over the label set all of whose vertex-deleted
-    subdiagrams are spherical: the spherical ones and the minimal infinite ones.
+def _search_reports(
+    search: EnumFilter, max_rank: int, filt: EnumFilter, mini_rank: int, jobs: int
+) -> tuple[Report, Report]:
+    """The quasi-minimal report of one quasi-minimal search to max_rank, and
+    the minimal-infinite report of filt to mini_rank read off the same levels.
 
-    Only the spherical ones are extended; every child of a minimal infinite
-    diagram contains it as a facet.  Parabolic subgroups of finite groups are
-    finite, so the kept diagrams are exactly the connected spherical and
-    minimal infinite ones.
+    A search with filt's constraints holds every connected minimal infinite
+    class filt admits: its filter admits them, and each one loses a non-cut
+    vertex to a connected spherical, so extendable, parent.
     """
-
-    def _facet_kinds(self) -> frozenset:
-        return frozenset({"spherical"})
-
-
-def enumerate_minimal_infinite(
-    filt: EnumFilter, max_rank: int, jobs: int = 1
-) -> Report:
-    """All connected minimal infinite classes up to max_rank, with the three
-    structural claims about the non-affine ones evaluated within the label set.
-    """
-    if max_rank > 8:
-        raise ValueError("minimal-infinite enumeration is capped at rank 8")
     t0 = time.monotonic()
-    search = _FacetsSpherical(
-        label_set=filt.label_set,
-        simply_laced=filt.simply_laced,
-        crystallographic=filt.crystallographic,
-    )
+    quasi: list[CoxeterSystem] = []
+    quasi_per_rank: dict[str, int] = {}
     per_rank: dict[str, dict[str, int]] = {}
     affine: list[dict] = []
     non_affine: list[CoxeterSystem] = []
     with worker_map(jobs) as imap:
         for k, level in iter_levels(search, max_rank, imap):
             typed = [(s, classify_irreducible(s)) for s in level]
-            found = [(s, t) for s, t in typed if not t.is_spherical and filt.admits(s)]
+            found = [s for s, t in typed if t.is_indefinite]
+            quasi_per_rank[str(k)] = len(found)
+            quasi.extend(found)
+            if k > mini_rank:
+                continue
+            found = [
+                (s, t)
+                for s, t in typed
+                if not t.is_spherical
+                and minimal_infinite_subsets(s) == [tuple(range(k))]
+                and filt.admits(s)
+            ]
             pa = [dict(system_payload(s), type=str(t)) for s, t in found if t.is_affine]
             pn = [s for s, t in found if not t.is_affine]
             per_rank[str(k)] = {"affine": len(pa), "non_affine": len(pn)}
@@ -217,13 +213,39 @@ def enumerate_minimal_infinite(
         "three_spherical_crystallographic_non_affine_count": len(three_sph_cryst),
         "claims": claims,
     }
+    duration = time.monotonic() - t0
     return Report(
+        campaign="quasi-minimal",
+        parameters={"max_rank": max_rank, "filter": search.payload()},
+        results={
+            "per_rank": quasi_per_rank,
+            "max_rank_attained": max((s.rank for s in quasi), default=0),
+            "classes": [system_payload(s) for s in quasi],
+            "claims": [],
+        },
+        duration_seconds=duration,
+        jobs=jobs,
+    ), Report(
         campaign="minimal-infinite",
-        parameters={"max_rank": max_rank, "filter": filt.payload()},
+        parameters={"max_rank": mini_rank, "filter": filt.payload()},
         results=results,
-        duration_seconds=time.monotonic() - t0,
+        duration_seconds=duration,
         jobs=jobs,
     )
+
+
+def enumerate_minimal_infinite(
+    filt: EnumFilter, max_rank: int, jobs: int = 1
+) -> Report:
+    """All connected minimal infinite classes up to max_rank, with the three
+    structural claims about the non-affine ones evaluated within the label set.
+    """
+    if max_rank > 8:
+        raise ValueError("minimal-infinite enumeration is capped at rank 8")
+    search = replace(
+        filt, connected_only=True, all_proper_parabolics_spherical_or_affine=True
+    )
+    return _search_reports(search, max_rank, filt, max_rank, jobs)[1]
 
 
 def enumerate_quasi_minimal(filt: EnumFilter, max_rank: int, jobs: int = 1) -> Report:
@@ -235,27 +257,7 @@ def enumerate_quasi_minimal(filt: EnumFilter, max_rank: int, jobs: int = 1) -> R
             "the filter must set all_proper_parabolics_spherical_or_affine"
         )
     filt = replace(filt, connected_only=True)
-    t0 = time.monotonic()
-    per_rank: dict[str, int] = {}
-    classes: list[CoxeterSystem] = []
-    with worker_map(jobs) as imap:
-        for k, level in iter_levels(filt, max_rank, imap):
-            found = [s for s in level if classify_irreducible(s).is_indefinite]
-            per_rank[str(k)] = len(found)
-            classes.extend(found)
-    results = {
-        "per_rank": per_rank,
-        "max_rank_attained": max((s.rank for s in classes), default=0),
-        "classes": [system_payload(s) for s in classes],
-        "claims": [],
-    }
-    return Report(
-        campaign="quasi-minimal",
-        parameters={"max_rank": max_rank, "filter": filt.payload()},
-        results=results,
-        duration_seconds=time.monotonic() - t0,
-        jobs=jobs,
-    )
+    return _search_reports(filt, max_rank, filt, 0, jobs)[0]
 
 
 def verify_size_bounds(
@@ -271,9 +273,10 @@ def verify_size_bounds(
         label_set=frozenset(label_set),
         all_proper_parabolics_spherical_or_affine=True,
     )
-    quasi = enumerate_quasi_minimal(quasi_filt, max_rank, jobs)
     mini_filt = EnumFilter(label_set=frozenset(label_set))
-    mini = enumerate_minimal_infinite(mini_filt, min(max_rank, 8), jobs)
+    mini_rank = min(max_rank, 8)
+    # quasi_filt is the search enumerate_minimal_infinite runs for mini_filt
+    quasi, mini = _search_reports(quasi_filt, max_rank, mini_filt, mini_rank, jobs)
 
     claims = [
         {
@@ -284,7 +287,7 @@ def verify_size_bounds(
     ]
     claims.extend(mini.results["claims"])
     figure_count = mini.results["three_spherical_crystallographic_non_affine_count"]
-    if frozenset({2, 3, 4, 6}) <= frozenset(label_set) and min(max_rank, 8) >= 5:
+    if frozenset({2, 3, 4, 6}) <= frozenset(label_set) and mini_rank >= 5:
         claims.append(
             {
                 "claim": "exactly three non-affine minimal infinite classes are "
@@ -302,10 +305,7 @@ def verify_size_bounds(
         campaign="size-bounds",
         parameters={
             "max_rank": max_rank,
-            "label_set": [
-                m if isinstance(m, int) else "inf"
-                for m in sorted(label_set, key=label_sort_key)
-            ],
+            "label_set": mini_filt.payload()["label_set"],
         },
         results=results,
         duration_seconds=time.monotonic() - t0,

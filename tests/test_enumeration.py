@@ -28,7 +28,6 @@ from coxtools import (
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
 from coxtools.enumeration import _expand_parent, _triple_table
-from coxtools.experiments import _FacetsSpherical
 from conftest import coxeter_systems, permuted
 
 
@@ -352,10 +351,11 @@ def test_enum_filter_matches_restrict_oracle(s, labels, connected, proper, k):
 
 @given(sparse_systems())
 @settings(max_examples=400)
-def test_minimal_infinite_search_filter_matches_restrict_oracle(s):
-    search = _FacetsSpherical(label_set=ALL_LABELS)
-    assert search.admits(s) == oracle_facets_spherical(s)
-    assert search.extendable(s) == is_spherical(s)
+def test_minimal_infinite_rule_matches_restrict_oracle(s):
+    # the rule the minimal-infinite campaign applies to the quasi-minimal search
+    assert (minimal_infinite_subsets(s) == [tuple(range(s.rank))]) == (
+        oracle_facets_spherical(s) and not is_spherical(s)
+    )
 
 
 def test_filter_oracles_see_both_verdicts():
@@ -369,7 +369,9 @@ def test_filter_oracles_see_both_verdicts():
     for s in (e10, affine_A(4), type_A(5)):
         assert filt.admits(s) == oracle_admits(filt, s)
         assert filt.extendable(s) == oracle_sph_or_aff(s)
-        assert _FacetsSpherical(label_set=ALL_LABELS).admits(s) == oracle_facets_spherical(s)
+        assert (minimal_infinite_subsets(s) == [tuple(range(s.rank))]) == (
+            oracle_facets_spherical(s) and not is_spherical(s)
+        )
 
 
 # -- child generation against the unpruned generator ----------------------------
@@ -411,8 +413,6 @@ EXPANSION_SCOPES = [
     (EnumFilter(label_set=frozenset({2, 3}), **_PROPER), 7),
     (EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=False, **_PROPER), 4),
     (EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3, **_PROPER), 5),
-    (_FacetsSpherical(label_set=ALL_LABELS), 4),
-    (_FacetsSpherical(label_set=frozenset({2, 3, 4, 6, INFINITY})), 5),
 ]
 
 _ORACLE_PARENTS: dict[int, list[CoxeterSystem]] = {}
@@ -509,13 +509,13 @@ def brute_force_minimal_infinite_count(n: int, labels) -> int:
 
 
 def test_minimal_infinite_campaign_counts_match_brute_force():
-    filt = EnumFilter(label_set=frozenset({2, 3, 4, 6}))
-    rep = enumerate_minimal_infinite(filt, 4)
-    for n in (3, 4):
-        got = rep.results["per_rank"][str(n)]
-        assert got["affine"] + got["non_affine"] == brute_force_minimal_infinite_count(
-            n, {2, 3, 4, 6}
-        )
+    for labels in ({2, 3, 4, 6}, {2, 3, 5, INFINITY}):
+        rep = enumerate_minimal_infinite(EnumFilter(label_set=frozenset(labels)), 4)
+        for n in (3, 4):
+            got = rep.results["per_rank"][str(n)]
+            assert got["affine"] + got["non_affine"] == (
+                brute_force_minimal_infinite_count(n, labels)
+            )
 
 
 def test_minimal_infinite_campaign_simply_laced_has_no_non_affine():

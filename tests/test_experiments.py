@@ -243,11 +243,7 @@ def pool_count(monkeypatch):
 @pytest.mark.parametrize("campaign", sorted(POOL_SCOPES))
 def test_one_pool_per_campaign(campaign, pool_count):
     POOL_SCOPES[campaign](2)
-    if campaign == "size-bounds":
-        # it runs the quasi-minimal and the minimal-infinite campaigns
-        assert 1 <= len(pool_count) <= 2
-    else:
-        assert len(pool_count) == 1
+    assert len(pool_count) == 1
     del pool_count[:]
     POOL_SCOPES[campaign](1)
     assert pool_count == []
