@@ -60,18 +60,17 @@ def _enc_label(m: Label) -> int:
 
 def canonical_code(system: CoxeterSystem) -> bytes:
     """Isomorphism-invariant code: rank byte, then the lexicographically
-    minimal column-incremental label encoding over all vertex orders.
+    least column-by-column label encoding over all vertex orders.
 
-    The minimization is branch and bound: at each position only vertices
-    realizing the minimal next block are tried, mutually twin vertices
-    (swappable by an automorphism) are tried once, and prefixes that exceed
-    the best complete code are cut.
+    Every column has a fixed length, so the least code takes the least column
+    at every position.  The search keeps every vertex order whose code so far
+    is least, each as the column every unplaced vertex would add next, and
+    extends it by each vertex adding the least column, once per class of twin
+    vertices (swappable by an automorphism).
     """
     n = system.rank
     if n > RANK_CAP:
         raise ValueError(f"rank {n} exceeds the supported cap of {RANK_CAP}")
-    if n <= 1:
-        return bytes([n])
     enc = [
         [0 if i == j else _enc_label(m) for j, m in enumerate(row)]
         for i, row in enumerate(system.labels)
@@ -86,49 +85,30 @@ def canonical_code(system: CoxeterSystem) -> bytes:
                 twin_id[v] = u
                 break
 
-    best: Optional[list[int]] = None
-    cur: list[int] = []
-    placed: list[int] = []
-    remaining = set(range(n))
-
-    def rec() -> None:
-        nonlocal best
-        if not remaining:
-            if best is None or cur < best:
-                best = cur.copy()
-            return
-        blocks = {v: [enc[u][v] for u in placed] for v in remaining}
-        minblock = min(blocks.values())
-        pos = len(cur)
-        # prune only when the extended prefix is lexicographically beaten;
-        # a prefix already strictly below best must never be cut
-        if best is not None and cur + minblock > best[: pos + len(minblock)]:
-            return
-        cur.extend(minblock)
-        seen_twins = set()
-        for v in sorted(remaining):
-            if blocks[v] != minblock or twin_id[v] in seen_twins:
-                continue
-            seen_twins.add(twin_id[v])
-            placed.append(v)
-            remaining.remove(v)
-            rec()
-            placed.pop()
-            remaining.add(v)
-        del cur[pos:]
-
-    rec()
-    assert best is not None
-    return bytes([n]) + b"".join(x.to_bytes(2, "big") for x in best)
+    code: list[int] = []
+    orders: list[dict[int, tuple]] = [{v: () for v in range(n)}]
+    for _ in range(n):
+        least = min(min(order.values()) for order in orders)
+        code.extend(least)
+        extended = []
+        for order in orders:
+            tried = set()
+            for v, column in order.items():
+                if column == least and twin_id[v] not in tried:
+                    tried.add(twin_id[v])
+                    extended.append(
+                        {u: col + (enc[v][u],) for u, col in order.items() if u != v}
+                    )
+        orders = extended
+    return bytes([n]) + b"".join(x.to_bytes(2, "big") for x in code)
 
 
 def system_from_code(code: bytes) -> CoxeterSystem:
     """Decode a canonical code back into the representative it encodes."""
-    n = code[0]
-    body = code[1:]
-    if len(body) != n * (n - 1):
+    n = code[0] if code else 0
+    vals = [int.from_bytes(code[i : i + 2], "big") for i in range(1, len(code), 2)]
+    if not code or len(code) != 1 + n * (n - 1) or any(x < 2 for x in vals):
         raise ValueError("malformed code")
-    vals = [int.from_bytes(body[i : i + 2], "big") for i in range(0, len(body), 2)]
     mat: list[list[Label]] = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     pos = 0
     for k in range(1, n):
@@ -352,9 +332,8 @@ def enumerate_diagrams(
     rank: int, filt: EnumFilter, jobs: int = 1
 ) -> list[CoxeterSystem]:
     """One representative per isomorphism class of the given rank passing filt."""
-    if rank == 0:
-        empty = CoxeterSystem.empty()
-        return [empty] if filt.admits(empty) else []
+    empty = CoxeterSystem.empty()
+    level = [empty] if filt.admits(empty) else []
     with worker_map(jobs) as imap:
         for _, level in iter_levels(filt, rank, imap):
             pass

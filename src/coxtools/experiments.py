@@ -153,7 +153,9 @@ def _search_reports(
 
     A search with filt's constraints holds every connected minimal infinite
     class filt admits: its filter admits them, and each one loses a non-cut
-    vertex to a connected spherical, so extendable, parent.
+    vertex to a connected spherical, so extendable, parent.  Every class the
+    search yields is in turn admitted by filt, whose constraints it keeps,
+    so the minimal infinite classes are read off the levels as they are.
     """
     t0 = time.monotonic()
     quasi: list[CoxeterSystem] = []
@@ -174,7 +176,6 @@ def _search_reports(
                 for s, t in typed
                 if not t.is_spherical
                 and minimal_infinite_subsets(s) == [tuple(range(k))]
-                and filt.admits(s)
             ]
             pa = [dict(system_payload(s), type=str(t)) for s, t in found if t.is_affine]
             pn = [s for s, t in found if not t.is_affine]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -177,8 +179,9 @@ def test_scope_input_is_checked():
         with pytest.raises(ValueError, match="jobs"):
             with worker_map(jobs):
                 pass
-        with pytest.raises(ValueError, match="jobs"):
-            enumerate_diagrams(3, filt, jobs=jobs)
+        for rank in (0, 3):
+            with pytest.raises(ValueError, match="jobs"):
+                enumerate_diagrams(rank, filt, jobs=jobs)
     with worker_map(1) as imap:
         assert imap is map
 
@@ -219,6 +222,72 @@ def test_canonical_code_shape_and_errors():
         canonical_code(twelve)
     with pytest.raises(ValueError):
         system_from_code(bytes([3, 0, 3]))  # truncated body
+    for bad in (b"", bytes([2, 0, 0]), bytes([2, 0, 1]), bytes([3, 0, 3, 0, 1, 0, 2])):
+        with pytest.raises(ValueError, match="malformed code"):
+            system_from_code(bad)  # empty, or a label below 2
+
+
+def brute_force_code(s: CoxeterSystem) -> bytes:
+    """The rank byte, then the least column-by-column encoding over every
+    vertex order, each label as 2 big-endian bytes and inf as 0xFFFF."""
+    n = s.rank
+
+    def enc(m):
+        return 0xFFFF if m == INFINITY else m
+
+    least = min(
+        [enc(s.labels[p[i]][p[k]]) for k in range(n) for i in range(k)]
+        for p in permutations(range(n))
+    )
+    return bytes([n]) + b"".join(x.to_bytes(2, "big") for x in least)
+
+
+@given(coxeter_systems(max_rank=6))
+@settings(max_examples=80)
+def test_canonical_code_is_the_least_encoding(s):
+    assert canonical_code(s) == brute_force_code(s)
+
+
+def _cycle_edges(vertices, m=3):
+    k = len(vertices)
+    return {(vertices[i], vertices[(i + 1) % k]): m for i in range(k)}
+
+
+def code_corpus() -> list[CoxeterSystem]:
+    """Symmetric diagrams, where the search meets the most ties, and seeded
+    random ones of ranks 7 to 11, sparse and dense."""
+    petersen = {(i, i + 5): 3 for i in range(5)}
+    petersen.update(_cycle_edges(range(5)))
+    petersen.update({(5 + i, 5 + (i + 2) % 5): 3 for i in range(5)})
+    two_pentagons = _cycle_edges(range(5)) | _cycle_edges(range(5, 10))
+    corpus = [
+        affine_A(10),
+        overextended_E8(),
+        CoxeterSystem.from_edges(10, petersen),
+        CoxeterSystem.from_edges(11, two_pentagons),  # C5 + C5 + K1
+        CoxeterSystem.from_edges(11, {}),
+        CoxeterSystem.from_edges(11, {p: 3 for p in combinations(range(11), 2)}),
+        CoxeterSystem.from_edges(11, _cycle_edges(range(11), INFINITY)),
+    ]
+    rng = random.Random(10)
+    for n in range(7, RANK_CAP + 1):
+        for weights in ([8, 2, 1, 1, 1], [2, 2, 2, 1, 1]):
+            for _ in range(12):
+                edges = {
+                    p: m
+                    for p in combinations(range(n), 2)
+                    if (m := rng.choices([2, 3, 4, 6, INFINITY], weights)[0]) != 2
+                }
+                corpus.append(CoxeterSystem.from_edges(n, edges))
+    return corpus
+
+
+CODE_CORPUS_SHA256 = "92c8788189e5c264e0d5b68919dc06a668b7f7c9267a0ae3a4e177dba676724e"
+
+
+def test_canonical_codes_of_a_fixed_corpus_are_pinned():
+    codes = b"".join(canonical_code(s) for s in code_corpus())
+    assert hashlib.sha256(codes).hexdigest() == CODE_CORPUS_SHA256
 
 
 def test_canonical_codes_sort_by_rank_first():
