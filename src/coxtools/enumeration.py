@@ -1,10 +1,14 @@
 """Isomorph-free generation of Coxeter diagrams by canonical augmentation.
 
 Rank-k representatives are extended by one vertex with every admissible label
-vector; children are deduplicated by canonical code and kept only when the
-hereditary filters pass.  Every connected diagram has a non-cut vertex, and
-all the supported filters survive deleting one, so filtering at every level
-loses nothing.
+vector, and a child is kept only when the hereditary filters pass and its new
+vertex lies in its canonical deletion orbit (McKay, J. Algorithms 26, 1998):
+an isomorphism-invariant choice of one orbit of eligible vertices, the
+non-cut ones under connected_only, else all.  Every connected diagram has a
+non-cut vertex, and all the supported filters survive deleting one, so each
+class is kept as the child of exactly one parent, the representative of the
+class with that orbit deleted; filtering at every level loses nothing, and
+children of different parents never coincide.
 
 A filter also decides which admitted diagrams are extended at all
 (`EnumFilter.extendable`).  The quasi-minimal search uses this to sharpen its
@@ -30,7 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product
+from itertools import chain, product
 from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
 
@@ -43,7 +47,14 @@ from .core import (
     is_infinite_label,
     label_sort_key,
 )
-from .classify import _facet_types, _types_through_last, classify, is_k_spherical
+from .classify import (
+    _adjacency,
+    _facet_types,
+    _reach,
+    _types_through_last,
+    classify,
+    is_k_spherical,
+)
 
 RANK_CAP = 11
 
@@ -58,15 +69,26 @@ def _enc_label(m: Label) -> int:
     return int(m)
 
 
-def canonical_code(system: CoxeterSystem) -> bytes:
-    """Isomorphism-invariant code: rank byte, then the lexicographically
-    least column-by-column label encoding over all vertex orders.
+def _level_search(
+    system: CoxeterSystem, orbits: bool = False
+) -> tuple[bytes, Optional[tuple[list[int], list[int]]]]:
+    """The canonical code of system and, if orbits is set, the automorphism
+    orbit of every vertex (as its least member) and of every position of the
+    least vertex orders.
 
-    Every column has a fixed length, so the least code takes the least column
-    at every position.  The search keeps every vertex order whose code so far
-    is least, each as the column every unplaced vertex would add next, and
+    The code is the rank byte, then the lexicographically least
+    column-by-column label encoding over all vertex orders.  Every column has
+    a fixed length, so the least code takes the least column at every
+    position.  The search keeps every vertex order whose code so far is
+    least, each as the column every unplaced vertex would add next, and
     extends it by each vertex adding the least column, once per class of twin
     vertices (swappable by an automorphism).
+
+    Every least order is then a kept one with some twins swapped, so two
+    vertices share an orbit exactly when a chain of twin pairs and of kept
+    orders placing them at one position joins them.  For that the search
+    records, per position, each extension as (index of the order it
+    extends, vertex placed), and walks back from the orders kept at the end.
     """
     n = system.rank
     if n > RANK_CAP:
@@ -86,21 +108,91 @@ def canonical_code(system: CoxeterSystem) -> bytes:
                 break
 
     code: list[int] = []
+    trail: list[list[tuple[int, int]]] = []
     orders: list[dict[int, tuple]] = [{v: () for v in range(n)}]
     for _ in range(n):
         least = min(min(order.values()) for order in orders)
         code.extend(least)
         extended = []
-        for order in orders:
+        steps = []
+        for i, order in enumerate(orders):
             tried = set()
             for v, column in order.items():
                 if column == least and twin_id[v] not in tried:
                     tried.add(twin_id[v])
+                    if orbits:
+                        steps.append((i, v))
                     extended.append(
                         {u: col + (enc[v][u],) for u, col in order.items() if u != v}
                     )
+        trail.append(steps)
         orders = extended
-    return bytes([n]) + b"".join(x.to_bytes(2, "big") for x in code)
+    code_bytes = bytes([n]) + b"".join(x.to_bytes(2, "big") for x in code)
+    if not orbits:
+        return code_bytes, None
+
+    columns = []
+    alive = range(len(orders))
+    for steps in reversed(trail):
+        columns.append({steps[i][1] for i in alive})
+        alive = {steps[i][0] for i in alive}
+    orbit = twin_id
+    for column in columns:
+        merged = {orbit[u] for u in column}
+        rep = min(merged)
+        orbit = [rep if x in merged else x for x in orbit]
+    return code_bytes, (orbit, [orbit[min(column)] for column in reversed(columns)])
+
+
+def canonical_code(system: CoxeterSystem) -> bytes:
+    """Isomorphism-invariant code: rank byte, then the lexicographically
+    least column-by-column label encoding over all vertex orders."""
+    return _level_search(system)[0]
+
+
+def _deletion_code(system: CoxeterSystem, v: int, connected_only: bool) -> Optional[bytes]:
+    """The canonical code of system if vertex v lies in its canonical
+    deletion orbit, else None.
+
+    The orbit is picked in three isomorphism-invariant steps: the eligible
+    vertices (the non-cut ones under connected_only, else all), of these the
+    ones with the largest invariant (degree, then the sorted (label,
+    neighbour degree) pairs), and of these the orbit of the one placed first
+    by the least orders.  The answer is None as soon as an eligible vertex
+    beats v, and the least orders are searched for their orbits only when
+    other eligible vertices tie with v.
+    """
+    n = system.rank
+    adj = _adjacency(system.labels)
+    deg = [mask.bit_count() for mask in adj]
+    full = (1 << n) - 1
+
+    def eligible(u: int) -> bool:
+        rest = full ^ (1 << u)
+        return not connected_only or not rest or _reach(adj, rest, rest & -rest) == rest
+
+    def invariant(u: int) -> tuple:
+        row = system.labels[u]
+        return deg[u], sorted((row[w], deg[w]) for w in range(n) if adj[u] >> w & 1)
+
+    top = invariant(v)
+    equal = []
+    for u in range(n):
+        if u != v and deg[u] >= deg[v]:
+            key = invariant(u)
+            if key > top and eligible(u):
+                return None
+            if key == top:
+                equal.append(u)
+    if not eligible(v):
+        return None
+    tied = [u for u in equal if eligible(u)]
+    if not tied:
+        return canonical_code(system)
+    code, (orbit, by_position) = _level_search(system, orbits=True)
+    candidates = {orbit[u] for u in tied + [v]}
+    first = next(o for o in by_position if o in candidates)
+    return code if first == orbit[v] else None
 
 
 def system_from_code(code: bytes) -> CoxeterSystem:
@@ -221,15 +313,27 @@ def worker_map(jobs: int = 1) -> Iterator[Callable]:
     """The map one campaign runs its work through, in input order.
 
     The builtin map for jobs=1, else the ordered imap of a single pool of
-    `jobs` worker processes that lives as long as the context.
+    `jobs` worker processes, started by the first call and ended with the
+    context, so a campaign with no work starts none.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if jobs == 1:
         yield map
         return
-    with Pool(processes=jobs) as pool:
-        yield pool.imap
+    pool = None
+
+    def imap(func: Callable, items) -> Iterator:
+        nonlocal pool
+        if pool is None:
+            pool = Pool(processes=jobs)
+        return pool.imap(func, items)
+
+    try:
+        yield imap
+    finally:
+        if pool is not None:
+            pool.terminate()
 
 
 @cache
@@ -288,8 +392,14 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
 
 
 def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
-    """All admissible one-vertex extensions of one admitted, extendable
-    parent, as canonical codes."""
+    """The admissible one-vertex extensions of one admitted, extendable
+    parent whose new vertex lies in their canonical deletion orbit, as sorted
+    canonical codes.
+
+    Isomorphic label vectors (swapped by an automorphism of the parent) give
+    one code, so the codes are deduplicated here; no other parent gives any
+    of them.
+    """
     rows = [list(row) for row in parent.labels]
     out = set()
     for vec in _label_vectors(parent, filt):
@@ -300,7 +410,9 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
             [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
         )
         if filt._admits_extension(child):
-            out.add(canonical_code(child))
+            code = _deletion_code(child, parent.rank, filt.connected_only)
+            if code is not None:
+                out.add(code)
     return sorted(out)
 
 
@@ -313,18 +425,16 @@ def iter_levels(
     canonical-code order, and is built from the members of the level below
     that filt.extendable keeps, starting from the empty diagram.  The parents
     are expanded through imap (the builtin map, or a worker_map), so the
-    output never depends on it.  Raises ValueError, once iterated, unless
-    0 <= max_rank <= RANK_CAP.
+    output never depends on it; their sorted, disjoint chunks are merged.
+    Raises ValueError, once iterated, unless 0 <= max_rank <= RANK_CAP.
     """
     if not 0 <= max_rank <= RANK_CAP:
         raise ValueError(f"rank {max_rank} is outside 0..{RANK_CAP}")
     level = [CoxeterSystem.empty()]
     for k in range(1, max_rank + 1):
         parents = [s for s in level if filt.extendable(s)]
-        codes = set()
-        for chunk in imap(partial(_expand_parent, filt=filt), parents):
-            codes.update(chunk)
-        level = [system_from_code(c) for c in sorted(codes)]
+        chunks = imap(partial(_expand_parent, filt=filt), parents)
+        level = [system_from_code(c) for c in sorted(chain.from_iterable(chunks))]
         yield k, level
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -29,7 +30,13 @@ from coxtools import (
     worker_map,
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
-from coxtools.enumeration import _expand_parent, _triple_table
+from coxtools import enumeration
+from coxtools.enumeration import (
+    _deletion_code,
+    _expand_parent,
+    _level_search,
+    _triple_table,
+)
 from conftest import coxeter_systems, permuted
 
 
@@ -186,6 +193,17 @@ def test_scope_input_is_checked():
         assert imap is map
 
 
+def test_rank_zero_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(enumeration, "Pool", no_pool)
+    filt = EnumFilter(label_set=frozenset({2, 3}))
+    assert enumerate_diagrams(0, filt, jobs=2) == enumerate_diagrams(0, filt)
+    with worker_map(2):
+        pass
+
+
 # -- canonical codes ----------------------------------------------------------
 
 
@@ -294,6 +312,83 @@ def test_canonical_codes_sort_by_rank_first():
     c2 = canonical_code(type_A(2))
     c3 = canonical_code(type_A(3))
     assert c2 < c3
+
+
+# -- canonical deletion ---------------------------------------------------------
+
+
+def brute_force_orbits(s: CoxeterSystem) -> set[frozenset]:
+    """The vertex orbits of the group of label-preserving vertex permutations."""
+    n = s.rank
+    autos = [
+        p
+        for p in permutations(range(n))
+        if all(s.labels[p[i]][p[j]] == s.labels[i][j] for i in range(n) for j in range(i))
+    ]
+    return {frozenset(p[v] for p in autos) for v in range(n)}
+
+
+def deletion_orbit(s: CoxeterSystem, connected_only: bool) -> list[int]:
+    return [v for v in range(s.rank) if _deletion_code(s, v, connected_only) is not None]
+
+
+@given(coxeter_systems(max_rank=6, max_finite=5))
+@settings(max_examples=120)
+def test_level_search_orbits_are_the_automorphism_orbits(s):
+    n = s.rank
+    code, (orbit, by_position) = _level_search(s, orbits=True)
+    assert code == canonical_code(s)
+    found = {frozenset(u for u in range(n) if orbit[u] == orbit[v]) for v in range(n)}
+    assert found == brute_force_orbits(s)
+    assert all(orbit[v] == min(u for u in range(n) if orbit[u] == orbit[v]) for v in range(n))
+    # every least vertex order has the orbit of position k at position k;
+    # labels compare as the code encodes them, inf last
+    encodings = {
+        p: [s.labels[p[i]][p[k]] for k in range(n) for i in range(k)]
+        for p in permutations(range(n))
+    }
+    least = min(encodings.values())
+    for p, e in encodings.items():
+        if e == least:
+            assert [orbit[v] for v in p] == by_position
+
+
+def check_deletion_orbit(s: CoxeterSystem, perm: list[int]) -> None:
+    moved = permuted(s, perm)
+    for connected_only in {False, is_connected(s)}:
+        orbit = deletion_orbit(s, connected_only)
+        assert frozenset(orbit) in brute_force_orbits(s)
+        if connected_only and s.rank > 1:
+            for v in orbit:
+                assert is_connected(restrict(s, tuple(u for u in range(s.rank) if u != v)))
+        assert {_deletion_code(s, v, connected_only) for v in orbit} == {canonical_code(s)}
+        assert deletion_orbit(moved, connected_only) == [
+            i for i in range(s.rank) if perm[i] in orbit
+        ]
+
+
+@given(coxeter_systems(max_rank=6, max_finite=5), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_deletion_orbit_is_one_orbit_and_relabelling_invariant(s, rng):
+    perm = list(range(s.rank))
+    rng.shuffle(perm)
+    check_deletion_orbit(s, perm)
+
+
+def test_deletion_orbit_breaks_ties_across_orbits_invariantly():
+    # graphs whose eligible vertices of largest invariant lie in two orbits,
+    # so the least order decides; random diagrams of rank 6 rarely are such
+    rng = random.Random(11)
+    for rank, edges in (
+        (6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5)]),
+        (6, [(0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4)]),
+        (7, [(0, 6), (1, 6), (2, 5), (3, 4), (4, 5), (5, 6)]),
+    ):
+        s = CoxeterSystem.from_edges(rank, {e: 3 for e in edges})
+        for _ in range(10):
+            perm = list(range(rank))
+            rng.shuffle(perm)
+            check_deletion_orbit(s, perm)
 
 
 # -- filters -------------------------------------------------------------------
@@ -451,6 +546,7 @@ def test_filter_oracles_see_both_verdicts():
 # generator under test.
 
 
+@cache
 def oracle_expand(parent, filt):
     rows = [list(row) for row in parent.labels]
     out = set()
@@ -460,7 +556,7 @@ def oracle_expand(parent, filt):
         )
         if filt.admits(child):
             out.add(canonical_code(child))
-    return sorted(out)
+    return frozenset(out)
 
 
 _PROPER = dict(all_proper_parabolics_spherical_or_affine=True)
@@ -506,9 +602,24 @@ def oracle_parents(scope: int) -> list[CoxeterSystem]:
 @given(st.integers(min_value=0, max_value=len(EXPANSION_SCOPES) - 1), st.data())
 @settings(max_examples=200)
 def test_expand_parent_matches_unpruned_generator(scope, data):
+    # canonical deletion keeps only some children of each parent
     filt = EXPANSION_SCOPES[scope][0]
     parent = data.draw(st.sampled_from(oracle_parents(scope)), label="parent")
-    assert _expand_parent(parent, filt) == oracle_expand(parent, filt)
+    chunk = _expand_parent(parent, filt)
+    assert chunk == sorted(set(chunk))
+    assert set(chunk) <= oracle_expand(parent, filt)
+
+
+def test_expand_parent_gives_each_class_to_one_parent():
+    # per rank, the parents keep disjoint parts of what the oracle finds, and
+    # together all of it; below the largest rank the oracle has expanded them
+    for scope, (filt, max_rank) in enumerate(EXPANSION_SCOPES):
+        for rank in range(max_rank):
+            parents = [p for p in oracle_parents(scope) if p.rank == rank]
+            kept = [c for p in parents for c in _expand_parent(p, filt)]
+            found = set().union(*(oracle_expand(p, filt) for p in parents))
+            assert len(kept) == len(set(kept)), (filt, rank)
+            assert set(kept) == found, (filt, rank)
 
 
 def test_triple_table_is_skipped_when_it_rejects_nothing():
