@@ -4,9 +4,10 @@ Two independent engines:
 
 * a shape recognizer against the standard classification tables (paths,
   cycles, forks with prescribed label patterns), and
-* the exact signature of the cosine Gram matrix, computed by fraction-free
-  integer elimination over Z[sqrt2, sqrt3] for crystallographic labels and by
-  escalating interval arithmetic otherwise.
+* the exact signature of the cosine Gram matrix, from one fraction-free
+  elimination (quadratic.inertia) of 2B over Z[sqrt2, sqrt3] for
+  crystallographic labels and over fixed-point integer enclosures otherwise,
+  where an algebraic-integer gap certifies every zero.
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
@@ -18,10 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Optional
 
 import mpmath
-from mpmath.libmp import mpf_sign
+from mpmath.libmp import from_int, mpf_shift, to_int
+from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_pi
 
 from .core import (
     INFINITY,
@@ -32,7 +35,7 @@ from .core import (
     is_crystallographic,
     is_infinite_label,
 )
-from .quadratic import NEG_TWICE_COS, TWO, inertia_exact
+from .quadratic import NEG_TWICE_COS, TWO, inertia, inertia_exact
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,8 @@ class Signature:
 
 
 class UndecidedSignature(Exception):
-    """Interval arithmetic could not separate an eigenvalue from zero."""
+    """Never raised: both signature arithmetics decide every sign.  Kept
+    because callers catch it."""
 
 
 # -- Gram matrix and signature ------------------------------------------------
@@ -106,118 +110,113 @@ def gram_matrix(system: CoxeterSystem):
     For a crystallographic system this is exactly 2B: diagonal 2, entries
     -2cos(pi/m) in {0, -1, -sqrt2, -sqrt3, -2}, each a 4-tuple of ints on the
     basis 1, sqrt2, sqrt3, sqrt6 of Z[sqrt2, sqrt3] (see quadratic.py).  It has
-    the signature of B.  Otherwise it is B itself, as interval enclosures at
-    the current mpmath.iv precision.
+    the signature of B.  Otherwise it is B itself, as mpmath interval
+    enclosures at the current mpmath.iv precision; signature does not use them.
     """
-    if not is_crystallographic(system):
-        return _gram_interval(system)
-    n = system.rank
-    return [
-        [TWO if i == j else NEG_TWICE_COS[system.labels[i][j]] for j in range(n)]
-        for i in range(n)
-    ]
+    labels = system.labels
+    if is_crystallographic(system):
+        return [[TWO if m == 1 else NEG_TWICE_COS[m] for m in row] for row in labels]
+    iv = mpmath.iv
+    exact = {m: iv.mpf(v) for m, v in _EXACT_ENTRIES.items()}
+    return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in labels]
 
 
-# -cos(pi/m) for the labels where it is exactly representable, so zeros stay
-# zeros; label 1 gives the diagonal
+# -cos(pi/m) where it is rational, so zeros stay exact; label 1 is the diagonal
 _EXACT_ENTRIES = {1: 1, 2: 0, 3: -0.5, INFINITY: -1}
-# precision -> label -> enclosure of -cos(pi/label), shared by every matrix
-# and every escalation step
-_ENCLOSURES: dict[int, dict] = {}
 
 
-def _gram_interval(system: CoxeterSystem):
-    iv = mpmath.iv
-    table = _ENCLOSURES.setdefault(iv.prec, {})
-    for m in set().union(*system.labels) - table.keys():
-        exact = _EXACT_ENTRIES.get(m)
-        table[m] = -iv.cos(iv.pi / m) if exact is None else iv.mpf(exact)
-    return [[table[m] for m in row] for row in system.labels]
+# -- the fixed-point engine: 2B on integer enclosures scaled by 2^p -------------
 
 
-def _iv_sign(x) -> Optional[int]:
-    """Sign of an interval if it excludes zero, else None."""
-    a, b = x._mpi_  # the raw endpoints, so no interval zero is built
-    if mpf_sign(a) > 0:
-        return 1
-    if mpf_sign(b) < 0:
-        return -1
-    return None
+@cache
+def _enclosure(m, p: int) -> tuple[int, int]:
+    """Floor and ceiling of 2^p * -2cos(pi/m), from exact mpmath endpoints."""
+    wp = p + 16
+    lo, hi = mpi_cos(mpi_div(mpi_pi(wp), (from_int(m),) * 2, wp), wp)
+    return -to_int(mpf_shift(hi, p + 1), "c"), -to_int(mpf_shift(lo, p + 1), "f")
 
 
-def _inertia_interval_once(system: CoxeterSystem) -> Optional[tuple[int, int, int]]:
-    """One elimination pass at the current precision; None when a sign stalls.
+@cache
+def _field_degree(lcm_: int) -> int:
+    """phi(2L)/2, the degree of Q(cos(pi/L)), or more: a cofactor left by trial
+    division up to 2^16 counts as a prime, which can only raise the result."""
+    n = phi = 2 * lcm_
+    q = 2
+    while q * q <= n and q < 1 << 16:
+        if n % q == 0:
+            phi -= phi // q
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        phi -= phi // n
+    return max(1, phi // 2)
 
-    An exactly singular matrix stalls at every precision (an interval can
-    never certify zero), which is why the caller escalates and eventually
-    raises UndecidedSignature.
+
+def _fx_add(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] | y[2])
+
+
+def _fx_sub(x, y):
+    return (x[0] - y[1], x[1] - y[0], x[2] | y[2])
+
+
+def _fx_mul(x, y):
+    """Exact product of two enclosures, left at scale 2^(2p) for the division."""
+    a, b, u = x
+    c, d, v = y
+    if b <= 0:  # x * y = (-x) * (-y)
+        a, b, c, d = -b, -a, -d, -c
+    if a >= 0:
+        if c >= 0:
+            return (a * c, b * d, u | v)
+        return (b * c, a * d if d <= 0 else b * d, u | v)
+    ps = (a * c, a * d, b * c, b * d)
+    return (min(ps), max(ps), u | v)
+
+
+def _fx_sign(x) -> Optional[int]:
+    """The sign of an enclosure, None when it straddles 0 without being 0."""
+    return 1 if x[0] > 0 else -1 if x[1] < 0 else None if x[0] or x[1] else 0
+
+
+def _inertia_fixed(system: CoxeterSystem, p: int = 64) -> tuple[int, int, int]:
+    """Inertia of 2B by Bareiss elimination on enclosures (lo, hi, mask):
+    lo <= 2^p * x <= hi, and mask the irrational labels x was computed from.
+
+    If a sign stays open, p is doubled.  This terminates: every active entry
+    is a minor of a unimodular congruent of 2B, so an algebraic integer of
+    Q(cos(pi/L)), L the lcm of its labels, of degree D <= phi(2L)/2.  The
+    conjugates of an entry of 2B are at most 2 in size, so by Hadamard's bound
+    and at most n row/column additions, each adding at most 4 minors, those
+    of an entry are at most H = (2 sqrt(n))^n * 4^n.  A nonzero entry has an
+    integer norm, so |x| >= H^-(D-1), and an enclosure strictly inside that
+    gap is an exact 0 (Yap, CGTA 7, 1997).
     """
-    m = _gram_interval(system)
-    # nz[i] masks the columns where row i may be nonzero.  Every entry outside
-    # it is an exact [0, 0], so an update skipped for it would subtract an
-    # exact zero: no endpoint, pivot or escalation moves.
-    nz = [sum(1 << j for j, lab in enumerate(row) if lab != 2) for row in system.labels]
-    active = list(range(system.rank))
-    plus = minus = 0
-    while active:
-        piv = next((i for i in active if _iv_sign(m[i][i]) is not None), None)
-        if piv is None:
-            # try to surface a pivot: row/col addition is a congruence, so if
-            # it produces a diagonal entry of decided sign we may commit to it
-            for ai, i in enumerate(active):
-                for j in active[ai + 1 :]:
-                    t = m[i][i] + 2 * m[i][j] + m[j][j]
-                    if _iv_sign(t) is not None:
-                        for k in active:
-                            m[i][k] = m[i][k] + m[j][k]
-                        for k in active:
-                            m[k][i] = m[k][i] + m[k][j]
-                        nz[i] |= nz[j]
-                        for k in active:
-                            if nz[j] >> k & 1:
-                                nz[k] |= 1 << i
-                        piv = i
-                        break
-                if piv is not None:
-                    break
-        if piv is None:
-            return None
-        s = _iv_sign(m[piv][piv])
-        if s > 0:
-            plus += 1
-        else:
-            minus += 1
-        d = m[piv][piv]
-        active.remove(piv)
-        touched = [x for x in active if nz[piv] >> x & 1]
-        col = [m[x][piv] for x in touched]
-        for x, cx in zip(touched, col):
-            f = cx / d
-            row = m[x]
-            for y, cy in zip(touched, col):
-                row[y] = row[y] - f * cy
-            nz[x] |= nz[piv]
-    return plus, 0, minus
+    n = system.rank
+    irrational = sorted(set().union(*system.labels) - _EXACT_ENTRIES.keys())
+    table = {m: (int(2 * v) << p, int(2 * v) << p, 0) for m, v in _EXACT_ENTRIES.items()}
+    table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
+    hbits = n * (64 * n).bit_length()  # at least 2 log2 H
+    gap_bits: dict[int, int] = {}
 
+    def divide(x, d):
+        lo, hi, u = x
+        c, e, v = d
+        if c < 0:
+            lo, hi, c, e = -hi, -lo, -e, -c
+        lo, hi, u = lo // (c if lo < 0 else e), -(-hi // (e if hi < 0 else c)), u | v
+        if lo <= 0 <= hi and (lo or hi):
+            if (b := gap_bits.get(u)) is None:
+                L = lcm(*(m for k, m in enumerate(irrational) if u >> k & 1))
+                b = gap_bits[u] = ((_field_degree(L) - 1) * hbits + 1) // 2
+            if p > b and -(1 << p - b) < lo and hi < 1 << p - b:  # inside 2^-b <= gap
+                return (0, 0, 0)
+        return (lo, hi, u)
 
-def _signature_interval(system: CoxeterSystem) -> Signature:
-    iv = mpmath.iv
-    saved = iv.prec
-    prec = 64
-    try:
-        while True:
-            iv.prec = prec
-            out = _inertia_interval_once(system)
-            if out is not None:
-                return Signature(*out)
-            if prec >= 2048:
-                raise UndecidedSignature(
-                    f"sign of a pivot undecided at {prec} bits; "
-                    "the matrix is likely singular"
-                )
-            prec *= 2
-    finally:
-        iv.prec = saved
+    args = (1 << p, 1 << p, 0), _fx_add, _fx_sub, _fx_mul, lambda d: d, divide, _fx_sign
+    out = inertia([[table[m] for m in row] for row in system.labels], *args)
+    return _inertia_fixed(system, 2 * p) if out is None else out
 
 
 def signature(system: CoxeterSystem) -> Signature:
@@ -228,7 +227,7 @@ def signature(system: CoxeterSystem) -> Signature:
         if is_crystallographic(sub):
             p, z, m = inertia_exact(gram_matrix(sub))
         else:
-            p, z, m = _signature_interval(sub).as_tuple
+            p, z, m = _inertia_fixed(sub)
         plus, zero, minus = plus + p, zero + z, minus + m
     return Signature(plus, zero, minus)
 

@@ -433,8 +433,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # a bug or an undecided computation, which must not read as a failed
-        # claim; traceback is imported here to keep it off the start-up path
+        # a bug, which must not read as a failed claim; traceback is
+        # imported here to keep it off the start-up path
         import traceback
 
         traceback.print_exc()

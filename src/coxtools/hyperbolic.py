@@ -90,11 +90,8 @@ def validate_witness(system: CoxeterSystem, witness: ZxZWitness) -> bool:
     A vertex index outside the system raises ValueError.
     """
     if isinstance(witness, AffineSubset):
-        J = witness.subset
-        if len(J) < 3:
-            return False
-        sub = restrict(system, J)
-        return is_connected(sub) and classify_irreducible(sub).is_affine
+        sub = restrict(system, witness.subset)
+        return sub.rank >= 3 and is_connected(sub) and classify_irreducible(sub).is_affine
     if isinstance(witness, CommutingInfinitePair):
         I, J = _check_subset(system, witness.left), _check_subset(system, witness.right)
         if not I or not J or set(I) & set(J):

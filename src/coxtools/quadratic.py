@@ -10,7 +10,9 @@ Signs are decided exactly by recursive squaring: first the sign of u + v*sqrt2
 over Z, then the sign of u + v*sqrt3 over Z[sqrt2].  Inertia comes from
 symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968), whose
 divisions are exact, and from Jacobi's rule on the signs of successive leading
-minors.  No fraction and no float is ever formed.
+minors.  No fraction and no float is ever formed.  The elimination, inertia,
+takes its arithmetic as functions; classify also runs it on fixed-point
+enclosures for the non-crystallographic labels.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def _norm_form(y: QuadInt) -> tuple[QuadInt, int]:
     return num, mul(y, num)[0]
 
 
-def _divide(x: QuadInt, num: QuadInt, norm: int) -> QuadInt:
+def _divide(x: QuadInt, prepared: tuple[QuadInt, int]) -> QuadInt:
+    num, norm = prepared
     if num is not ONE:
         x = mul(x, num)
     elif norm == 1:
@@ -83,7 +86,7 @@ def _divide(x: QuadInt, num: QuadInt, norm: int) -> QuadInt:
 
 def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
     """x / y when it lies in Z[sqrt2, sqrt3]; ArithmeticError when it does not."""
-    return _divide(x, *_norm_form(y))
+    return _divide(x, _norm_form(y))
 
 
 def _sign_sqrt2(a: int, b: int) -> int:
@@ -115,47 +118,45 @@ def sign(x: QuadInt) -> int:
     return su if t > 0 else sv
 
 
-def inertia_exact(mat: list[list[QuadInt]]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix over Z[sqrt2, sqrt3].
+def inertia(mat, one, add, sub, mul, prepare, divide, sign):
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix over the
+    arithmetic given by the functions; None when sign cannot decide.
 
     Symmetric Bareiss elimination: after k pivots every active entry is the
     minor bordering the k pivot rows and columns, so the update
     S[x][y] = (d*S[x][y] - S[x][p]*S[p][y]) / d_prev divides exactly, and the
     k-th pivot d_k is the k-th leading minor in pivot order.  By Jacobi's rule
-    it counts as positive iff d_k and d_{k-1} have the same sign (d_0 = 1).
+    it counts as positive iff d_k and d_{k-1} have the same sign (d_0 = one).
     When every active diagonal entry vanishes but some m[i][j] does not,
     adding row and column j to row and column i is a unimodular congruence
     that leaves the pivot minors alone and produces the diagonal entry
-    2*m[i][j].
+    2*m[i][j].  sign is -1, 0, 1 or None (undecided), and the pivot is the
+    first diagonal entry of decided nonzero sign; divide(x, prepare(d))
+    divides exactly by the pivot d.
     """
-    n = len(mat)
     m = [row[:] for row in mat]
-    active = list(range(n))
+    active = list(range(len(m)))
     plus = minus = zero = 0
-    num, norm, s_prev = ONE, 1, 1
+    prepared, s_prev = prepare(one), 1
     while active:
-        piv = next((i for i in active if m[i][i] != ZERO), None)
-        if piv is None:
-            pair = next(
-                (
-                    (i, j)
-                    for ai, i in enumerate(active)
-                    for j in active[ai + 1 :]
-                    if m[i][j] != ZERO
-                ),
-                None,
-            )
-            if pair is None:
+        for piv in active:
+            if s := sign(m[piv][piv]):
+                break
+        else:  # every active diagonal entry is 0 or undecided
+            block = [(i, j) for a, i in enumerate(active) for j in active[a:]]
+            signs = [sign(m[i][j]) for i, j in block]
+            if None in signs:
+                return None
+            if not any(signs):
                 zero += len(active)
                 break
-            i, j = pair
+            i, j = next(ij for ij, sg in zip(block, signs) if sg)
             for k in active:
                 m[i][k] = add(m[i][k], m[j][k])
             for k in active:
                 m[k][i] = add(m[k][i], m[k][j])
-            piv = i
+            piv, s = i, sign(m[i][i])
         d = m[piv][piv]
-        s = sign(d)
         if s == s_prev:
             plus += 1
         else:
@@ -165,9 +166,12 @@ def inertia_exact(mat: list[list[QuadInt]]) -> tuple[int, int, int]:
         for ai, x in enumerate(rest):
             row, cx = m[x], col[x]
             for y in rest[ai:]:
-                v = _divide(sub(mul(d, row[y]), mul(cx, col[y])), num, norm)
-                row[y] = m[y][x] = v
-        num, norm = _norm_form(d)
-        s_prev = s
+                row[y] = m[y][x] = divide(sub(mul(d, row[y]), mul(cx, col[y])), prepared)
+        prepared, s_prev = prepare(d), s
         active = rest
     return plus, zero, minus
+
+
+def inertia_exact(mat: list[list[QuadInt]]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix over Z[sqrt2, sqrt3]."""
+    return inertia(mat, ONE, add, sub, mul, _norm_form, _divide, sign)

@@ -3,8 +3,9 @@ import importlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ from coxtools import (
     INFINITY,
     AffineSubset,
     CoxeterSystem,
-    UndecidedSignature,
     check_affine_criterion,
     classify,
     classify_irreducible,
@@ -54,7 +54,8 @@ from coxtools.catalog import (
     type_H,
     type_I2,
 )
-from coxtools.classify import _signature_interval, gram_matrix
+from coxtools.classify import _enclosure, _inertia_fixed, gram_matrix
+from coxtools.enumeration import canonical_code
 from conftest import coxeter_systems
 
 # the package exports a function named classify, which hides the module
@@ -221,17 +222,48 @@ def test_signature_matches_float_oracle(s):
     assert signature(s).as_tuple == expected
 
 
+@given(coxeter_systems(min_rank=0, max_rank=6, max_finite=30))
+@settings(max_examples=300)
+def test_public_entry_points_never_raise(s):
+    # the one deliberate exception is the threshold of the empty diagram
+    parts = classify(s)
+    sig = signature(s)
+    assert sig.rank == s.rank
+    for comp, tc in parts:
+        # the two engines agree on every component
+        p, z, m = signature(restrict(s, comp)).as_tuple
+        assert tc.is_spherical == (z == m == 0)
+        assert tc.is_affine == (z == 1 and m == 0)
+    is_hyperbolic(s)
+    if s.rank == 0:
+        with pytest.raises(ValueError):
+            kazhdan_threshold(s)
+    else:
+        kazhdan_threshold(s)
+    minimal_infinite_subsets(s)
+    has_affine_parabolic(s)
+    has_affine_parabolic(s, include_rank2_infty=True)
+    max_spherical_rank(s)
+    for k in range(1, s.rank + 2):
+        is_k_spherical(s, k)
+    canonical_code(s)
+
+
 # -- exact oracle for the crystallographic engine ------------------------------
 
 _SQRT_FIELD = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3))
+# cos(pi/5) = (1 + sqrt5) / 4
+_SQRT5_FIELD = sympy.QQ.algebraic_field(sympy.sqrt(5))
 
 
-def _sympy_signature(system):
+def _sympy_signature(system, field=_SQRT_FIELD):
     """Signature from the exact characteristic polynomial of the cosine Gram.
 
-    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
-    signs on the exact coefficients counts the positive roots of p(x) and of
-    p(-x) exactly; the zero eigenvalues are the trailing zero coefficients.
+    field must hold every cos(pi/m) of the labels: Q(sqrt2, sqrt3) for the
+    crystallographic labels, Q(sqrt5) for {2, 3, 5, inf}.  A real symmetric
+    matrix has only real eigenvalues, so Descartes' rule of signs on the
+    exact coefficients counts the positive roots of p(x) and of p(-x)
+    exactly; the zero eigenvalues are the trailing zero coefficients.
     """
     n = system.rank
 
@@ -241,19 +273,19 @@ def _sympy_signature(system):
         m = system.labels[i][j]
         return sympy.Integer(-1) if math.isinf(m) else -sympy.cos(sympy.pi / m)
 
-    dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, entry)).convert_to(_SQRT_FIELD)
+    dm = DomainMatrix.from_Matrix(sympy.Matrix(n, n, entry)).convert_to(field)
     coeffs = dm.charpoly()  # leading coefficient first
     n_zero = 0
-    while coeffs and _SQRT_FIELD.is_zero(coeffs[-1]):
+    while coeffs and field.is_zero(coeffs[-1]):
         coeffs.pop()
         n_zero += 1
 
     def sign_changes(values):
         signs = []
         for c in values:
-            if _SQRT_FIELD.is_zero(c):
+            if field.is_zero(c):
                 continue
-            positive = _SQRT_FIELD.to_sympy(c).is_positive
+            positive = field.to_sympy(c).is_positive
             assert positive is not None
             signs.append(positive)
         return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -319,10 +351,85 @@ def test_signature_large_rank_known_values():
     assert signature(mixed).as_tuple == _float_signature(mixed) == (30, 0, 10)
 
 
-def test_undecided_signature_raises_on_exact_kernel():
-    # the interval engine alone can never certify an exact zero eigenvalue
-    with pytest.raises(UndecidedSignature):
-        _signature_interval(affine_A(2))
+@pytest.mark.parametrize("system", SINGULAR_CASES, ids=repr)
+def test_fixed_point_engine_certifies_exact_zeros(system):
+    # the exact kernel of every singular case, crystallographic or not, is
+    # found by the algebraic-integer gap of the fixed-point engine
+    assert _inertia_fixed(system) == _sympy_signature(system)
+
+
+def _upper(text):
+    """A rank-5 system from its upper-triangle labels, row by row."""
+    vals = iter(INFINITY if t == "inf" else int(t) for t in text.split())
+    return CoxeterSystem.from_edges(5, {(i, j): next(vals) for i in range(5) for j in range(i + 1, 5)})
+
+
+# the 30 connected {2,3,5,inf} classes of rank <= 5 whose signature the
+# former mpmath interval engine could not decide: each is singular and
+# indefinite, so its kernel must be certified exactly
+SINGULAR_235INF = [_upper(t) for t in (
+    "2 2 2 inf 2 3 5 inf 2 2", "2 2 2 inf 2 5 5 inf 2 2", "2 2 2 inf 2 5 inf inf 2 2",
+    "2 2 2 inf 3 3 5 inf 2 2", "2 2 2 inf 3 5 3 inf 2 2", "2 2 2 inf 3 5 5 inf 2 2",
+    "2 2 2 inf 3 5 inf inf 2 2", "2 2 2 inf 3 inf 2 inf 5 2", "2 2 2 inf 5 5 3 inf 2 2",
+    "2 2 2 inf 5 5 5 inf 2 2", "2 2 2 inf 5 5 inf inf 2 2", "2 2 2 inf 5 inf 2 inf 3 2",
+    "2 2 2 inf 5 inf 2 inf 5 2", "2 2 2 inf 5 inf 2 inf inf 2", "2 2 2 inf inf inf 2 inf 2 5",
+    "2 2 3 inf inf 3 2 3 2 5", "2 2 3 inf inf 3 2 5 2 5", "2 2 3 inf inf 3 2 5 2 inf",
+    "2 2 3 inf inf 5 2 5 2 3", "2 2 3 inf inf 5 2 5 2 5", "2 2 3 inf inf 5 2 5 2 inf",
+    "2 2 3 inf inf 5 2 inf 2 3", "2 2 3 inf inf 5 2 inf 2 5", "2 2 3 inf inf 5 2 inf 2 inf",
+    "2 2 3 inf inf inf 2 inf 2 5", "2 2 5 inf inf 5 2 5 2 5", "2 2 5 inf inf 5 2 5 2 inf",
+    "2 2 5 inf inf 5 2 inf 2 inf", "2 2 5 inf inf inf 2 inf 2 5", "2 2 5 inf inf inf 2 inf 2 inf",
+)]
+
+
+def test_formerly_undecided_235inf_classes_match_sympy():
+    assert len({canonical_code(s) for s in SINGULAR_235INF}) == 30
+    for s in SINGULAR_235INF:
+        assert is_connected(s) and not is_crystallographic(s)
+        assert signature(s).as_tuple == _sympy_signature(s, _SQRT5_FIELD) == (3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "system, want",
+    [
+        (path_system([4, 4, 7, 11, 13, 29]), (5, 0, 2)),
+        # two ~C2 joined at their ends by a label of degree phi(2 * 116116) / 2
+        # = 40320: once both ~C2 are pivoted but for their ends, every active
+        # diagonal entry is an exact 0 of Q(sqrt2), which must be certified
+        # before the row/column addition; with the degree of the whole
+        # component that would take about 10^6 bits
+        (
+            CoxeterSystem.from_edges(
+                6, {(0, 1): 4, (1, 2): 4, (3, 4): 4, (4, 5): 4, (2, 5): 7 * 11 * 13 * 29}
+            ),
+            (5, 0, 1),
+        ),
+    ],
+)
+def test_gap_is_taken_per_entry(system, want):
+    start = time.perf_counter()
+    assert signature(system).as_tuple == want
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("m", [2**40, 3**25, 2**61 - 1])
+def test_tiny_nonzero_minor_is_not_snapped(m):
+    # det 2B of I2(m) is 4 sin^2(pi/m), about 2^-76 for m = 2^40: inside the
+    # 64-bit enclosure width, but far outside the gap of its degree-2^39 field.
+    # The prime 2^61 - 1 is not factored in full: a cofactor left by bounded
+    # trial division only raises the degree bound.
+    assert _inertia_fixed(type_I2(m)) == (2, 0, 0)
+
+
+@pytest.mark.parametrize("p", [64, 100, 128, 256, 512, 1000, 1024, 2048, 4096, 8192])
+def test_enclosures_contain_cosine_within_four_ulp(p):
+    # enclosures are converted from exact mpf endpoints by floor and ceiling,
+    # never through a float or a 53-bit mpf
+    with mpmath.workprec(p + 64):
+        for m in range(2, 201):
+            lo, hi = _enclosure(m, p)
+            want = -2 * mpmath.cos(mpmath.pi / m) * 2**p
+            assert lo <= want <= hi
+            assert hi - lo <= 4
 
 
 def test_interval_engine_row_column_addition():
@@ -338,7 +445,7 @@ def test_interval_engine_row_column_addition():
             (3, 5): 3, (3, 6): 4, (3, 7): 3, (4, 5): 4, (4, 6): 3,
         },
     )
-    assert _signature_interval(s).as_tuple == signature(s).as_tuple == (6, 0, 2)
+    assert _inertia_fixed(s) == signature(s).as_tuple == (6, 0, 2)
 
 
 # -- sphericity and parabolic scans -----------------------------------------
@@ -589,8 +696,11 @@ def test_scan_outputs_match_pin():
 # -- pinned interval engine ---------------------------------------------------
 
 INTERVAL_PIN_LABELS = (3, 4, 5, 6, 7, 8, INFINITY)
-# sha256 of _interval_outputs over the 1500 systems of _interval_pin_systems()
-INTERVAL_OUTPUTS_SHA256 = "47d377c43e717fe99eb26cd12b7907d595fb58beb944ca8136affd7958267e03"
+# sha256 of _interval_outputs over the 1500 systems of _interval_pin_systems().
+# Re-pinned when the fixed-point engine replaced the mpmath interval one:
+# only entry 1286 changed, from "undecided" to the signature that
+# test_interval_pin_entry_1286_matches_sympy confirms.
+INTERVAL_OUTPUTS_SHA256 = "bb4f1908507b7f80bdfdab1fea6c121d6f05acc40a3b31d42f94063c629942fb"
 
 
 def _interval_pin_systems(count=1500, seed=5):
@@ -614,11 +724,8 @@ def _interval_pin_systems(count=1500, seed=5):
 
 
 def _interval_outputs(s):
-    """Interval signature (or "undecided") and the exact Gram endpoints at 64 bits."""
-    try:
-        sig = list(_signature_interval(s).as_tuple)
-    except UndecidedSignature:
-        sig = "undecided"
+    """Fixed-point signature and the exact mpmath Gram endpoints at 64 bits."""
+    sig = list(_inertia_fixed(s))
     iv = mpmath.iv
     saved = iv.prec
     iv.prec = 64
@@ -637,6 +744,13 @@ def test_interval_engine_outputs_match_pin():
         assert not is_crystallographic(s) and is_connected(s)
         h.update(json.dumps(_interval_outputs(s)).encode())
     assert h.hexdigest() == INTERVAL_OUTPUTS_SHA256
+
+
+def test_interval_pin_entry_1286_matches_sympy():
+    # singular and indefinite, with labels 4, 6 and 8: cos(pi/8) = sqrt(2 + sqrt2) / 2
+    s = next(islice(_interval_pin_systems(), 1286, None))
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2 + sympy.sqrt(2)), sympy.sqrt(3))
+    assert _inertia_fixed(s) == _sympy_signature(s, field) == (4, 1, 1)
 
 
 # -- threshold ---------------------------------------------------------------

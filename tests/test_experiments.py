@@ -165,6 +165,10 @@ PINNED_SCOPES = {
         lambda jobs: verify_engine_agreement(5, frozenset({2, 3, 5}), jobs=jobs),
         "55a0a624657ad1d3269b27c9b9e346d61253902fd84a74b81b024d581e157e51",
     ),
+    "engine-agreement/2,3,5,inf/r5": (
+        lambda jobs: verify_engine_agreement(5, frozenset({2, 3, 5, INFINITY}), jobs=jobs),
+        "88a01e5a744d5916902e37b109cfac2285be23f73a0671ed42f061d9981f882b",
+    ),
     "engine-agreement/2,3,5,7/r4": (
         lambda jobs: verify_engine_agreement(4, frozenset({2, 3, 5, 7}), jobs=jobs),
         "d1556b4f79671083b630447d585f3c6d5623d06cc93856f91b2311faac3e775c",

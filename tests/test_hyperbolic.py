@@ -270,3 +270,15 @@ def test_validate_witness_rejects_bad_indices(good, bad, message):
         validate_witness(s, CommutingInfinitePair(good, bad))
     with pytest.raises(ValueError, match=message):
         validate_witness(s, CommutingInfinitePair(bad, good))
+    with pytest.raises(ValueError, match=message):
+        validate_witness(s, AffineSubset(bad))
+
+
+# subsets too small to be an affine witness are still checked for bad indices
+@pytest.mark.parametrize(
+    "subset, message", [((99, 100), "vertex index 99 "), ((0, -1), "vertex index -1 ")]
+)
+def test_validate_witness_rejects_bad_indices_in_small_affine_subsets(subset, message):
+    with pytest.raises(ValueError, match=message):
+        validate_witness(two_cycles_with_bridge(), AffineSubset(subset))
+    assert validate_witness(affine_A(2), AffineSubset((0, 1))) is False
