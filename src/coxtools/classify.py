@@ -165,12 +165,6 @@ def _fx_mul(x, y):
     """Exact product of two enclosures, left at scale 2^(2p) for the division."""
     a, b, u = x
     c, d, v = y
-    if b <= 0:  # x * y = (-x) * (-y)
-        a, b, c, d = -b, -a, -d, -c
-    if a >= 0:
-        if c >= 0:
-            return (a * c, b * d, u | v)
-        return (b * c, a * d if d <= 0 else b * d, u | v)
     ps = (a * c, a * d, b * c, b * d)
     return (min(ps), max(ps), u | v)
 
@@ -180,25 +174,24 @@ def _fx_sign(x) -> Optional[int]:
     return 1 if x[0] > 0 else -1 if x[1] < 0 else None if x[0] or x[1] else 0
 
 
-def _inertia_fixed(system: CoxeterSystem, p: int = 64) -> tuple[int, int, int]:
+def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
     """Inertia of 2B by Bareiss elimination on enclosures (lo, hi, mask):
     lo <= 2^p * x <= hi, and mask the irrational labels x was computed from.
 
-    If a sign stays open, p is doubled.  This terminates: every active entry
-    is a minor of a unimodular congruent of 2B, so an algebraic integer of
-    Q(cos(pi/L)), L the lcm of its labels, of degree D <= phi(2L)/2.  The
-    conjugates of an entry of 2B are at most 2 in size, so by Hadamard's bound
-    and at most n row/column additions, each adding at most 4 minors, those
-    of an entry are at most H = (2 sqrt(n))^n * 4^n.  A nonzero entry has an
-    integer norm, so |x| >= H^-(D-1), and an enclosure strictly inside that
-    gap is an exact 0 (Yap, CGTA 7, 1997).
+    p starts at 64 and doubles while a sign stays open.  This terminates:
+    every active entry is a minor of a unimodular congruent of 2B, so an
+    algebraic integer of Q(cos(pi/L)), L the lcm of its labels, of degree
+    D <= phi(2L)/2.  The conjugates of an entry of 2B are at most 2 in size,
+    so by Hadamard's bound and at most n row/column additions, each adding
+    at most 4 minors, those of an entry are at most H = (2 sqrt(n))^n * 4^n.
+    A nonzero entry has an integer norm, so |x| >= H^-(D-1), and an
+    enclosure strictly inside that gap is an exact 0 (Yap, CGTA 7, 1997).
     """
     n = system.rank
     irrational = sorted(set().union(*system.labels) - _EXACT_ENTRIES.keys())
-    table = {m: (int(2 * v) << p, int(2 * v) << p, 0) for m, v in _EXACT_ENTRIES.items()}
-    table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
     hbits = n * (64 * n).bit_length()  # at least 2 log2 H
     gap_bits: dict[int, int] = {}
+    p = 64
 
     def divide(x, d):
         lo, hi, u = x
@@ -214,9 +207,14 @@ def _inertia_fixed(system: CoxeterSystem, p: int = 64) -> tuple[int, int, int]:
                 return (0, 0, 0)
         return (lo, hi, u)
 
-    args = (1 << p, 1 << p, 0), _fx_add, _fx_sub, _fx_mul, lambda d: d, divide, _fx_sign
-    out = inertia([[table[m] for m in row] for row in system.labels], *args)
-    return _inertia_fixed(system, 2 * p) if out is None else out
+    while True:
+        table = {m: (int(2 * v) << p, int(2 * v) << p, 0) for m, v in _EXACT_ENTRIES.items()}
+        table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
+        mat = [[table[m] for m in row] for row in system.labels]
+        one = (1 << p, 1 << p, 0)
+        if out := inertia(mat, one, _fx_add, _fx_sub, _fx_mul, lambda d: d, divide, _fx_sign):
+            return out
+        p *= 2
 
 
 def signature(system: CoxeterSystem) -> Signature:
