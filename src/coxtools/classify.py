@@ -165,6 +165,10 @@ def _fx_mul(x, y):
     """Exact product of two enclosures, left at scale 2^(2p) for the division."""
     a, b, u = x
     c, d, v = y
+    if b <= 0:  # x * y = (-x) * (-y)
+        a, b, c, d = -b, -a, -d, -c
+    if a >= 0:  # the extremes are known; only an x straddling 0 needs all four
+        return (a * c if c >= 0 else b * c, b * d if d >= 0 else a * d, u | v)
     ps = (a * c, a * d, b * c, b * d)
     return (min(ps), max(ps), u | v)
 
@@ -222,10 +226,8 @@ def signature(system: CoxeterSystem) -> Signature:
     plus = zero = minus = 0
     for comp in components(system):
         sub = system if len(comp) == system.rank else _slice(system.labels, comp)
-        if is_crystallographic(sub):
-            p, z, m = inertia_exact(gram_matrix(sub))
-        else:
-            p, z, m = _inertia_fixed(sub)
+        crystallographic = is_crystallographic(sub)
+        p, z, m = inertia_exact(gram_matrix(sub)) if crystallographic else _inertia_fixed(sub)
         plus, zero, minus = plus + p, zero + z, minus + m
     return Signature(plus, zero, minus)
 
