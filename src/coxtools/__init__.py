@@ -1,4 +1,8 @@
-"""Coxeter diagram toolkit: classification, hyperbolicity, enumeration."""
+"""Coxeter diagram toolkit: classification, hyperbolicity, enumeration.
+
+The campaign modules (`enumeration`, `experiments`) load on first use of one
+of their names, so a query that never enumerates does not pay for them.
+"""
 
 from .core import (
     INFINITY,
@@ -42,25 +46,38 @@ from .hyperbolic import (
     is_hyperbolic,
     validate_witness,
 )
-from .enumeration import (
-    RANK_CAP,
-    EnumFilter,
-    canonical_code,
-    enumerate_diagrams,
-    iter_levels,
-    system_from_code,
-    worker_map,
-)
-from .experiments import (
-    enumerate_minimal_infinite,
-    enumerate_quasi_minimal,
-    verify_affine_criterion,
-    verify_engine_agreement,
-    verify_size_bounds,
-)
 from .report import TOOL_VERSION, Report
 
 __version__ = TOOL_VERSION
+
+# public name -> the module that serves it on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        ("RANK_CAP", "EnumFilter", "canonical_code", "enumerate_diagrams",
+         "iter_levels", "system_from_code", "worker_map"),
+        "enumeration",
+    ),
+    **dict.fromkeys(
+        ("enumerate_minimal_infinite", "enumerate_quasi_minimal",
+         "verify_affine_criterion", "verify_engine_agreement", "verify_size_bounds"),
+        "experiments",
+    ),
+}
+
+
+def __getattr__(name: str):
+    import importlib
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
 
 __all__ = [
     "INFINITY",

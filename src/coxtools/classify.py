@@ -22,10 +22,6 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional
 
-import mpmath
-from mpmath.libmp import from_int, mpf_shift, to_int
-from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_pi
-
 from .core import (
     INFINITY,
     CoxeterSystem,
@@ -116,7 +112,8 @@ def gram_matrix(system: CoxeterSystem):
     labels = system.labels
     if is_crystallographic(system):
         return [[TWO if m == 1 else NEG_TWICE_COS[m] for m in row] for row in labels]
-    iv = mpmath.iv
+    from mpmath import iv  # only here and in _enclosure, to keep it off start-up
+
     exact = {m: iv.mpf(v) for m, v in _EXACT_ENTRIES.items()}
     return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in labels]
 
@@ -131,6 +128,9 @@ _EXACT_ENTRIES = {1: 1, 2: 0, 3: -0.5, INFINITY: -1}
 @cache
 def _enclosure(m, p: int) -> tuple[int, int]:
     """Floor and ceiling of 2^p * -2cos(pi/m), from exact mpmath endpoints."""
+    from mpmath.libmp import from_int, mpf_shift, to_int
+    from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_pi
+
     wp = p + 16
     lo, hi = mpi_cos(mpi_div(mpi_pi(wp), (from_int(m),) * 2, wp), wp)
     return -to_int(mpf_shift(hi, p + 1), "c"), -to_int(mpf_shift(lo, p + 1), "f")

@@ -6,9 +6,9 @@ Diagram grammar (line oriented, `#` starts a comment):
     edge: <i> <j> <m>     # 0-based i < j, m an integer >= 3 or "inf"
     type: <NAME>          # standard diagram shortcut, exclusive with the above
 
-Unlisted pairs default to label 2.  Parse errors carry a 1-based line and
-column.  Exit codes: 0 success (and all claims passing), 1 claim failure,
-2 input error, 3 internal error.
+Unlisted pairs default to label 2, and a rank is at most MAX_RANK (1000).
+Parse errors carry a 1-based line and column.  Exit codes: 0 success (and
+all claims passing), 1 claim failure, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ from .classify import (
     minimal_infinite_subsets,
 )
 from .core import INFINITY, CoxeterSystem, Label, label_text
-from .enumeration import EnumFilter, iter_levels, worker_map
-from .experiments import (
-    enumerate_minimal_infinite,
-    enumerate_quasi_minimal,
-    verify_affine_criterion,
-    verify_engine_agreement,
-    verify_size_bounds,
-)
 from .hyperbolic import AffineSubset, CommutingInfinitePair, is_hyperbolic
 from .report import system_payload
 
@@ -52,6 +44,9 @@ class DiagramParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\S+")
+
+# largest rank a `rank:` line may give; the label matrix has rank^2 entries
+MAX_RANK = 1000
 
 
 def _fail(msg: str, lineno: int, col: int) -> None:
@@ -81,6 +76,8 @@ def parse_diagram(text: str) -> CoxeterSystem:
                 col = args[0][1] if args else head_col
                 _fail("expected a non-negative integer rank", lineno, col)
             rank = int(args[0][0])
+            if rank > MAX_RANK:
+                _fail(f"rank {rank} is above the limit {MAX_RANK}", lineno, args[0][1])
         elif head == "edge:":
             if type_system is not None:
                 _fail("edge line cannot follow a type line", lineno, head_col)
@@ -281,7 +278,9 @@ def _edge_text(system: CoxeterSystem) -> str:
     return " ".join(parts) if parts else "(no edges)"
 
 
-def _filter_from_flags(ns: argparse.Namespace) -> EnumFilter:
+def _filter_from_flags(ns: argparse.Namespace):
+    from .enumeration import EnumFilter
+
     return EnumFilter(
         label_set=_parse_labels(ns.labels),
         connected_only=not ns.allow_disconnected,
@@ -293,6 +292,8 @@ def _filter_from_flags(ns: argparse.Namespace) -> EnumFilter:
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
+    from .enumeration import iter_levels, worker_map
+
     filt = _filter_from_flags(ns)
     with worker_map(ns.jobs) as imap:
         levels = list(iter_levels(filt, ns.max_rank, imap))
@@ -309,31 +310,34 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
     return 0
 
 
-# campaign -> (default max rank, runner(ns, labels, max_rank)); the runners
-# look the campaign functions up when called, so tests can replace them
+# campaign -> (default max rank, runner(experiments, ns, labels, max_rank)).
+# Only _cmd_verify imports the experiments module; the runners look the
+# campaign functions up on it when called, so tests can replace them
 _CAMPAIGNS = {
     "affine-criterion": (
         None,
-        lambda ns, labels, r: verify_affine_criterion(ns.mode, r, jobs=ns.jobs),
+        lambda x, ns, labels, r: x.verify_affine_criterion(ns.mode, r, jobs=ns.jobs),
     ),
     "engine-agreement": (
         6,
-        lambda ns, labels, r: verify_engine_agreement(r, labels, jobs=ns.jobs),
+        lambda x, ns, labels, r: x.verify_engine_agreement(r, labels, jobs=ns.jobs),
     ),
     "size-bounds": (
         11,
-        lambda ns, labels, r: verify_size_bounds(r, labels, jobs=ns.jobs),
+        lambda x, ns, labels, r: x.verify_size_bounds(r, labels, jobs=ns.jobs),
     ),
     "minimal-infinite": (
         8,
-        lambda ns, labels, r: enumerate_minimal_infinite(
-            EnumFilter(label_set=labels), r, jobs=ns.jobs
+        lambda x, ns, labels, r: x.enumerate_minimal_infinite(
+            x.EnumFilter(label_set=labels), r, jobs=ns.jobs
         ),
     ),
     "quasi-minimal": (
         11,
-        lambda ns, labels, r: enumerate_quasi_minimal(
-            EnumFilter(label_set=labels, all_proper_parabolics_spherical_or_affine=True),
+        lambda x, ns, labels, r: x.enumerate_quasi_minimal(
+            x.EnumFilter(
+                label_set=labels, all_proper_parabolics_spherical_or_affine=True
+            ),
             r,
             jobs=ns.jobs,
         ),
@@ -342,9 +346,11 @@ _CAMPAIGNS = {
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from . import experiments
+
     default_rank, run = _CAMPAIGNS[ns.campaign]
     max_rank = default_rank if ns.max_rank is None else ns.max_rank
-    report = run(ns, _parse_labels(ns.labels), max_rank)
+    report = run(experiments, ns, _parse_labels(ns.labels), max_rank)
 
     payload = report.to_dict()
     claims = report.results.get("claims", [])

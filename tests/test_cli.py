@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from coxtools import INFINITY, CoxeterSystem, Report, UndecidedSignature, standard_system
-from coxtools.cli import DiagramParseError, main, parse_diagram, render_diagram
+from coxtools.cli import MAX_RANK, DiagramParseError, main, parse_diagram, render_diagram
 from conftest import coxeter_systems
 
 from hypothesis import given, settings
@@ -92,6 +92,23 @@ def test_parse_error_on_non_decimal_digits(text, line, column):
     # superscript two passes str.isdigit but int() rejects it
     e = err(text)
     assert (e.line, e.column) == (line, column)
+
+
+def test_rank_at_the_limit_is_accepted():
+    assert parse_diagram(f"rank: {MAX_RANK}").rank == MAX_RANK == 1000
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 99999999999])
+def test_rank_above_the_limit_is_a_parse_error(rank, monkeypatch, capsys):
+    # rejected before the rank^2 label matrix is built
+    e = err(f"# big\n  rank: {rank}")
+    assert (e.line, e.column) == (2, 9)
+    assert e.message == f"rank {rank} is above the limit {MAX_RANK}"
+    code, _, stderr = run_cli(
+        ["classify", "--stdin"], f"rank: {rank}\n", monkeypatch, capsys
+    )
+    assert code == 2
+    assert stderr == f"error: line 1, column 7: {e.message}\n"
 
 
 def test_parse_error_str_carries_position():
@@ -316,7 +333,7 @@ def test_verify_claim_failure_exits_one(monkeypatch, capsys):
         "size-bounds", {}, {"claims": [{"claim": "x", "passed": False}]}
     )
     monkeypatch.setattr(
-        "coxtools.cli.verify_size_bounds", lambda *a, **k: failing
+        "coxtools.experiments.verify_size_bounds", lambda *a, **k: failing
     )
     code = main(["verify", "--campaign", "size-bounds"])
     out, _ = capsys.readouterr()
@@ -328,7 +345,7 @@ def test_verify_internal_error_exits_three(monkeypatch, capsys):
     def undecided(*args, **kwargs):
         raise UndecidedSignature("sign of a pivot undecided")
 
-    monkeypatch.setattr("coxtools.cli.verify_engine_agreement", undecided)
+    monkeypatch.setattr("coxtools.experiments.verify_engine_agreement", undecided)
     code = main(["verify", "--campaign", "engine-agreement", "--labels", "2,3,5,inf"])
     out, err = capsys.readouterr()
     assert code == 3
