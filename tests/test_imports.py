@@ -108,7 +108,7 @@ def test_queries_load_no_campaign_modules_or_mpmath(command, diagram, want):
     ],
     ids=["verify", "enumerate"],
 )
-def test_campaign_commands_load_their_modules_lazily(args, capsys):
+def test_campaign_commands_run_cold(args, capsys):
     code, out, heavy = cold_cli(args)
     assert code == 0
     assert "coxtools.enumeration" in heavy
