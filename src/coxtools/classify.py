@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional
@@ -466,27 +466,42 @@ def _reach(adj: list[int], mask: int, start: int) -> int:
 # -- derived predicates --------------------------------------------------------
 
 
+# index pairs of the vertices of a set of at most three
+_PAIRS = ((), (), ((0, 1),), ((0, 1), (0, 2), (1, 2)))
+
+
+def _bonds(labels, verts) -> list:
+    """Labels of the diagram edges among at most three vertices."""
+    return [m for i, j in _PAIRS[len(verts)] if (m := labels[verts[i]][verts[j]]) != 2]
+
+
 def _small_spherical(labels, verts) -> bool:
-    """Sphericity of the subdiagram on at most three ascending vertices.
+    """Sphericity of the subdiagram on at most three vertices.
 
     The label test is kept because it is the hot path of every subset scan:
     sending ranks 2 and 3 through classify_irreducible made the
-    sweep-criterion benchmark pass about twice as slow.
+    sweep-criterion benchmark pass about twice as slow.  Two bonds p, q form
+    a path, which is spherical when (p-2)(q-2) < 4 (an inf bond makes the
+    product inf), affine (~C2, ~G2) when it is 4 and indefinite above; three
+    form a triangle, which is never spherical and is affine only as the
+    all-3 ~A2.  A connected triple that fails the test with finite labels is
+    minimal infinite, and _triple_affine reads off the same bonds whether it
+    is affine.
     """
-    bonds = [
-        labels[i][j]
-        for a, i in enumerate(verts)
-        for j in verts[a + 1 :]
-        if labels[i][j] != 2
-    ]
-    if any(is_infinite_label(m) for m in bonds):
-        return False
-    if len(bonds) <= 1:
-        return True
+    bonds = _bonds(labels, verts)
     if len(bonds) == 2:
         p, q = bonds
         return (p - 2) * (q - 2) < 4
-    return False  # a triangle is never finite
+    return not bonds or len(bonds) == 1 and bonds[0] != INFINITY
+
+
+def _triple_affine(labels, verts) -> bool:
+    """Affineness of a minimal infinite subdiagram on three vertices."""
+    bonds = _bonds(labels, verts)
+    if len(bonds) == 3:
+        return bonds == [3, 3, 3]
+    p, q = bonds
+    return (p - 2) * (q - 2) == 4
 
 
 def is_spherical(system: CoxeterSystem) -> bool:
@@ -510,55 +525,120 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
 
 
 class _SphericalClosure:
-    """The spherical subsets of a system, found by one bottom-up walk.
+    """The connected spherical subsets of a system, found by one walk, and
+    from them its minimal infinite subsets and largest spherical rank.
 
-    Subsets are int bitmasks.  Level k+1 is formed only from spherical sets of
-    level k, by adding a vertex above the set's highest bit, and a candidate
-    is examined only when all its facets are spherical, so supersets of
-    infinite subsets are never touched.  Such a candidate is either spherical
-    or minimal infinite:
+    Subsets are int bitmasks.  A minimal infinite subset is connected (a
+    disconnected set with spherical facets is spherical), so the walk grows
+    connected spherical sets only, level by level, each by a diagram
+    neighbour v: a reverse search (Avis and Fukuda, Discrete Appl. Math. 65,
+    1996).  A candidate S + v is made once, from the facet that drops its
+    largest vertex whose facet is a known connected spherical set, and is
+    classified only when all its facets are spherical, so supersets of
+    infinite subsets are never touched.  The components of a facet S + v - u
+    that miss v lie in S, so only the one through v is looked up; _reach
+    runs only when the facet itself is not known.  Such a candidate is
+    spherical or minimal infinite: the label test decides on at most three
+    vertices, and the tables above that.
 
-    * disconnected, it is spherical: each component lies in some facet;
-    * connected on at most three vertices, the label test decides;
-    * connected and larger, it is classified against the tables.
-
-    max_rank is the largest size of a spherical subset; minimal lists the
-    minimal infinite subsets in (size, lex) order as (vertices, mask, type),
-    with type None until the walk or affine classifies the subset; affine
-    stores every type it classifies, so no subset is classified twice.
+    known maps every connected spherical set to its diagram neighbours, in
+    walk order.  minimal lists the minimal infinite subsets in (size, lex)
+    order as (vertices, mask, type), with type None until the walk or affine
+    classifies the subset; affine stores every type it classifies, so no
+    subset is classified twice.  The worst case stays exponential: with
+    every label inf the only connected spherical sets are the vertices, and
+    max_rank is the size of a maximum independent set.
     """
 
     def __init__(self, system: CoxeterSystem):
         labels = system.labels
-        n = system.rank
         self.labels = labels
         self.adj = adj = _adjacency(labels)
         self.minimal: list[tuple[tuple[int, ...], int, Optional[TypeClass]]] = []
-        self.max_rank = 0
-        level = [((v,), 1 << v) for v in range(n)]
+        self.known: dict[int, int] = {}
+        known = self.known
+        level = [((v,), 1 << v, around) for v, around in enumerate(adj)]
         while level:
-            self.max_rank = len(level[0][0])
-            known = {mask for _, mask in level}
-            nxt = []
-            for verts, mask in level:
-                for v in range(verts[-1] + 1, n):
-                    cand = mask | 1 << v
-                    if any(cand ^ 1 << u not in known for u in verts):
-                        continue
-                    cverts = verts + (v,)
-                    t = None
-                    if _reach(adj, cand, cand & -cand) != cand:
-                        spherical = True
-                    elif len(cverts) <= 3:
-                        spherical = _small_spherical(labels, cverts)
+            known.update((mask, around) for _, mask, around in level)
+            nxt, found = [], []
+            for verts, mask, around in level:
+                rest = around
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    v = bit.bit_length() - 1
+                    cand = mask | bit
+                    for u in verts:
+                        facet = cand ^ 1 << u
+                        if facet in known:
+                            if u > v:
+                                break  # cand is made from the facet without u
+                        # otherwise the component through v must be known,
+                        # as v alone is
+                        elif adj[v] & facet and (
+                            (part := _reach(adj, facet, bit)) == facet or part not in known
+                        ):
+                            break
                     else:
-                        t = _classify_connected(_slice(labels, cverts))
-                        spherical = t.is_spherical
-                    if spherical:
-                        nxt.append((cverts, cand))
-                    else:
-                        self.minimal.append((cverts, cand, t))
+                        cverts = verts + (v,)
+                        t = None
+                        if len(cverts) <= 3:
+                            spherical = _small_spherical(labels, cverts)
+                        else:
+                            t = _classify_connected(_slice(labels, cverts))
+                            spherical = t.is_spherical
+                        if spherical:
+                            nxt.append((cverts, cand, (around | adj[v]) & ~cand))
+                        else:
+                            found.append((tuple(sorted(cverts)), cand, t))
+            found.sort()
+            self.minimal.extend(found)
             level = nxt
+
+    @cached_property
+    def max_rank(self) -> int:
+        """Largest size of a spherical subset, summed over the components.
+
+        A spherical subset is a union of pairwise non-adjacent connected
+        spherical sets, so a component that is a known set counts its size,
+        and any other runs an exact memoised branch and bound on its lowest
+        vertex v: drop v, or take one connected spherical set T through v and
+        close T's neighbours.  v is T's lowest vertex, so the sets are tabled
+        by lowest vertex, largest first; the tables are built here, on first
+        use, so the other scans never pay for them.
+        """
+        adj, known = self.adj, self.known
+        through: list[list[tuple[int, int, int]]] = [[] for _ in adj]
+        for mask, around in reversed(known.items()):
+            through[(mask & -mask).bit_length() - 1].append(
+                (mask.bit_count(), mask, mask | around)
+            )
+        memo: dict[int, int] = {}
+
+        def best(open_: int) -> int:
+            total = 0
+            while open_:
+                part = _reach(adj, open_, open_ & -open_)
+                open_ ^= part
+                if part in known:
+                    total += part.bit_count()
+                    continue
+                if (got := memo.get(part)) is None:
+                    low = part & -part
+                    room = part.bit_count() - 1  # the part is not spherical
+                    got = 0
+                    for size, mask, closed in through[low.bit_length() - 1]:
+                        if not mask & ~part and size + (part & ~closed).bit_count() > got:
+                            got = max(got, size + best(part & ~closed))
+                            if got == room:
+                                break
+                    if got < room:
+                        got = max(got, best(part ^ low))
+                    memo[part] = got
+                total += got
+            return total
+
+        return best((1 << len(adj)) - 1)
 
     def affine(self, start: int) -> Iterator[tuple[tuple[int, ...], TypeClass]]:
         """(vertices, type) of each irreducible affine subset of size >= start,
@@ -571,7 +651,11 @@ class _SphericalClosure:
             if len(verts) < start:
                 continue
             if t is None:
-                t = _classify_connected(_slice(self.labels, verts))
+                # only affine triples go to the tables, for their exact names
+                if len(verts) == 3 and not _triple_affine(self.labels, verts):
+                    t = INDEFINITE
+                else:
+                    t = _classify_connected(_slice(self.labels, verts))
                 self.minimal[i] = (verts, mask, t)
             if t.is_affine:
                 yield verts, t

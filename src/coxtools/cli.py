@@ -6,20 +6,22 @@ Diagram grammar (line oriented, `#` starts a comment):
     edge: <i> <j> <m>     # 0-based i < j, m an integer >= 3 or "inf"
     type: <NAME>          # standard diagram shortcut, exclusive with the above
 
-Unlisted pairs default to label 2, and a rank is at most MAX_RANK (1000).
-Parse errors carry a 1-based line and column.  Exit codes: 0 success (and
-all claims passing), 1 claim failure, 2 input error, 3 internal error.
+Unlisted pairs default to label 2, and a rank, given or implied by a type
+name, is at most MAX_RANK (1000).  Parse errors carry a 1-based line and
+column.  Exit codes: 0 success (and all claims passing), 1 claim failure,
+2 input error, 3 internal error, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional
 
-from .catalog import standard_system
+from .catalog import _NAME_RE, standard_system
 from .classify import (
     classify,
     has_affine_parabolic,
@@ -45,7 +47,8 @@ class DiagramParseError(ValueError):
 
 _TOKEN = re.compile(r"\S+")
 
-# largest rank a `rank:` line may give; the label matrix has rank^2 entries
+# largest rank a `rank:` line or a type name may give; the label matrix has
+# rank^2 entries
 MAX_RANK = 1000
 
 
@@ -116,6 +119,11 @@ def parse_diagram(text: str) -> CoxeterSystem:
             if len(args) != 1:
                 _fail("expected: type: <NAME>", lineno, head_col)
             name, col = args[0]
+            # a family name with subscript n has rank n, or n + 1 if affine
+            if (fam := _NAME_RE.match(name)) and (
+                size := int(fam[2]) + fam[1].startswith("~")
+            ) > MAX_RANK:
+                _fail(f"type {name} has rank {size}, above the limit {MAX_RANK}", lineno, col)
             try:
                 type_system = standard_system(name)
             except ValueError:
@@ -434,7 +442,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.fn(ns)
+        code = ns.fn(ns)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # final flush stays quiet, and exit as if killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:  # DiagramParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

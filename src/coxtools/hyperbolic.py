@@ -64,14 +64,20 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     """
     closure = _closure(system)
     adj = closure.adj
+    minimal = closure.minimal
     best: Optional[tuple] = None
-    for a, (I, mask_i, _) in enumerate(closure.minimal):
+    for a, (I, mask_i, _) in enumerate(minimal):
+        # minimal is size-sorted, so no later pair can beat a smaller total
+        if best is not None and 2 * len(I) > best[0]:
+            break
         # J is disjoint from I and commutes with it when it meets neither I
         # nor a diagram neighbour of I
         around_i = 0
         for v in I:
             around_i |= adj[v]
-        for J, mask_j, _ in closure.minimal[a + 1 :]:
+        for J, mask_j, _ in minimal[a + 1 :]:
+            if best is not None and len(I) + len(J) > best[0]:
+                break
             if not (mask_i | around_i) & mask_j:
                 key = (len(I) + len(J),) + tuple(sorted((I, J)))
                 if best is None or key < best:

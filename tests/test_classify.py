@@ -17,7 +17,9 @@ from sympy.polys.matrices import DomainMatrix
 from coxtools import (
     INFINITY,
     AffineSubset,
+    CommutingInfinitePair,
     CoxeterSystem,
+    HyperbolicityVerdict,
     check_affine_criterion,
     classify,
     classify_irreducible,
@@ -636,15 +638,141 @@ def test_max_spherical_rank_examples():
     assert max_spherical_rank(overextended_E8()) == 9
 
 
-@given(coxeter_systems(max_rank=5))
-@settings(max_examples=40)
+def _ref_max_spherical_rank(s):
+    return max(
+        (len(c) for size in range(1, s.rank + 1) for c in combinations(range(s.rank), size)
+         if is_spherical(restrict(s, c))),
+        default=0,
+    )
+
+
+@given(mixed_systems())
+@settings(max_examples=300)
 def test_max_spherical_rank_brute_force(s):
-    best = 0
-    for size in range(1, s.rank + 1):
-        for c in combinations(range(s.rank), size):
-            if is_spherical(restrict(s, c)):
-                best = max(best, size)
-    assert max_spherical_rank(s) == best
+    assert max_spherical_rank(s) == _ref_max_spherical_rank(s)
+
+
+def _ref_hyperbolic(s):
+    """First commuting pair of minimal infinite sets in (total size, lex)
+    order, else the first affine subset of rank >= 3."""
+    minimal = _ref_minimal_infinite(s)
+    pairs = [
+        (len(I) + len(J), I, J)
+        for I, J in combinations(minimal, 2)
+        if not set(I) & set(J) and all(s.labels[i][j] == 2 for i in I for j in J)
+    ]
+    if pairs:
+        _, I, J = min(pairs)
+        return HyperbolicityVerdict(False, CommutingInfinitePair(I, J))
+    aff = _ref_affine_parabolic(s, False)
+    return HyperbolicityVerdict(True) if aff is None else HyperbolicityVerdict(False, AffineSubset(aff))
+
+
+@given(mixed_systems())
+@settings(max_examples=300)
+def test_is_hyperbolic_witness_brute_force(s):
+    assert is_hyperbolic(s) == _ref_hyperbolic(s)
+
+
+def test_pair_search_keeps_equal_totals_for_the_lex_order():
+    # the infinite bond 7-8 and the ~A3 square 1-2-3-4 commute (total 6) and
+    # are found first; the ~A2 triangles 0-5-6 and 9-10-11, found later, have
+    # the same total and are lex-smaller.  7 joins 0 and 9, so the bond
+    # commutes with neither triangle
+    s = CoxeterSystem.from_edges(
+        12,
+        {(1, 2): 3, (2, 3): 3, (3, 4): 3, (1, 4): 3, (7, 8): INFINITY,
+         (0, 5): 3, (5, 6): 3, (0, 6): 3, (9, 10): 3, (10, 11): 3, (9, 11): 3,
+         (0, 7): 3, (7, 9): 3},
+    )
+    assert minimal_infinite_subsets(s) == [(7, 8), (0, 5, 6), (9, 10, 11), (1, 2, 3, 4)]
+    assert is_hyperbolic(s) == _ref_hyperbolic(s)
+    assert is_hyperbolic(s).witness == CommutingInfinitePair((0, 5, 6), (9, 10, 11))
+
+
+def test_max_spherical_rank_sums_spherical_and_other_components():
+    # E8 is spherical and counts its 8 vertices; the ~A2 triangle is not and
+    # contributes 2; the commuting pair of infinite bonds contributes 1 + 1
+    s = CoxeterSystem.from_edges(
+        15,
+        {**{(i, j): m for i, j, m in type_E(8).edges()},
+         (8, 9): 3, (9, 10): 3, (8, 10): 3, (11, 12): INFINITY, (13, 14): INFINITY},
+    )
+    assert max_spherical_rank(s) == 8 + 2 + 1 + 1
+    assert minimal_infinite_subsets(s) == [(11, 12), (13, 14), (8, 9, 10)]
+
+
+def test_max_spherical_rank_of_all_inf_labels_is_maximum_independent_set():
+    # the Petersen graph: outer 5-cycle, inner pentagram, five spokes
+    edges = {}
+    for i in range(5):
+        edges[(i, (i + 1) % 5) if i < 4 else (0, 4)] = INFINITY
+        edges[(5 + i, 5 + (i + 2) % 5) if i < 3 else (5 + (i + 2) % 5, 5 + i)] = INFINITY
+        edges[(i, 5 + i)] = INFINITY
+    s = CoxeterSystem.from_edges(10, edges)
+    independent = [
+        c for size in range(11) for c in combinations(range(10), size)
+        if all(s.labels[i][j] == 2 for i, j in combinations(c, 2))
+    ]
+    assert max(map(len, independent)) == 4
+    assert max_spherical_rank(s) == 4
+    assert minimal_infinite_subsets(s) == sorted((i, j) for i, j in edges)
+
+
+def _shifted(parts):
+    """Disjoint union of systems, with the vertices of each part shifted."""
+    edges, base = {}, 0
+    for p in parts:
+        edges.update(((base + i, base + j), m) for i, j, m in p.edges())
+        base += p.rank
+    return CoxeterSystem.from_edges(base, edges)
+
+
+def test_scans_on_a_twenty_component_union():
+    parts = [
+        type_A(3), affine_A(2), path_system([INFINITY]), type_A(1), type_BC(3),
+        path_system([5, 3]), cycle_system([3, 3, 4]), type_A(1), path_system([4, 4]), type_G2(),
+    ] * 2
+    s = _shifted(parts)
+    assert len(classify(s)) == 20
+    assert max_spherical_rank(s) == sum(_ref_max_spherical_rank(p) for p in parts)
+    want, base = [], 0
+    for p in parts:
+        want += [tuple(base + v for v in J) for J in _ref_minimal_infinite(p)]
+        base += p.rank
+    assert minimal_infinite_subsets(s) == sorted(want, key=lambda J: (len(J), J))
+    # the two infinite bonds are the only minimal pairs, and they commute
+    assert is_hyperbolic(s).witness == CommutingInfinitePair((6, 7), (30, 31))
+    assert has_affine_parabolic(s) == (3, 4, 5)
+
+
+def test_scans_do_not_build_the_packing_tables():
+    s = _shifted([affine_A(2), path_system([INFINITY]), type_A(3)])
+    classify_module._closure.cache_clear()
+    is_hyperbolic(s)
+    has_affine_parabolic(s)
+    closure = classify_module._closure(s)
+    assert "max_rank" not in vars(closure)
+    assert max_spherical_rank(s) == 2 + 1 + 3
+    assert "max_rank" in vars(closure)
+
+
+_TRIPLE_LABELS = (2, 3, 4, 5, 6, 7, 8, 12, INFINITY)
+
+
+@pytest.mark.parametrize("p", _TRIPLE_LABELS)
+def test_triple_label_test_matches_the_tables(p):
+    # every connected triple: spherical by the label test iff by the tables,
+    # and a minimal infinite one affine by the label test iff by the tables
+    for q in _TRIPLE_LABELS:
+        for r in _TRIPLE_LABELS:
+            s = CoxeterSystem.from_edges(3, {(0, 1): p, (0, 2): q, (1, 2): r})
+            if not is_connected(s):
+                continue
+            t = classify_irreducible(s)
+            assert classify_module._small_spherical(s.labels, (0, 1, 2)) == t.is_spherical
+            if minimal_infinite_subsets(s) == [(0, 1, 2)]:
+                assert classify_module._triple_affine(s.labels, (0, 1, 2)) == t.is_affine
 
 
 # -- pinned scan outputs -------------------------------------------------------

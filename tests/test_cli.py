@@ -2,10 +2,21 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from coxtools import INFINITY, CoxeterSystem, Report, UndecidedSignature, standard_system
+from coxtools import (
+    INFINITY,
+    CoxeterSystem,
+    Report,
+    UndecidedSignature,
+    is_hyperbolic,
+    kazhdan_threshold,
+    max_spherical_rank,
+    minimal_infinite_subsets,
+    standard_system,
+)
 from coxtools.cli import MAX_RANK, DiagramParseError, main, parse_diagram, render_diagram
 from conftest import coxeter_systems
 
@@ -109,6 +120,22 @@ def test_rank_above_the_limit_is_a_parse_error(rank, monkeypatch, capsys):
     )
     assert code == 2
     assert stderr == f"error: line 1, column 7: {e.message}\n"
+
+
+@pytest.mark.parametrize("name, rank", [("A1001", 1001), ("~A1000", 1001), ("A99999999999", 99999999999)])
+def test_type_name_above_the_limit_is_a_parse_error(name, rank, monkeypatch, capsys):
+    # rejected before any builder makes the rank^2 label matrix
+    e = err(f"\n type: {name}")
+    assert (e.line, e.column) == (2, 8)
+    assert e.message == f"type {name} has rank {rank}, above the limit {MAX_RANK}"
+    code, _, stderr = run_cli(["classify", "--stdin"], f"type: {name}\n", monkeypatch, capsys)
+    assert code == 2
+    assert stderr == f"error: line 1, column 7: {e.message}\n"
+
+
+@pytest.mark.parametrize("name", ["A1000", "~A999", "D1000"])
+def test_type_name_at_the_limit_is_accepted(name):
+    assert parse_diagram(f"type: {name}").rank == MAX_RANK
 
 
 def test_parse_error_str_carries_position():
@@ -364,3 +391,50 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "H3" in proc.stdout
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    # the reader closes its end before the command writes a byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxtools", "classify", "--stdin", "--format", "json"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate("type: E8\n", timeout=60)
+    assert proc.returncode == 141
+    assert stderr == ""
+
+
+def _disjoint_a3(copies: int) -> str:
+    lines = [f"rank: {3 * copies}"]
+    lines += [f"edge: {3 * k + i} {3 * k + i + 1} 3" for k in range(copies) for i in (0, 1)]
+    return "\n".join(lines) + "\n"
+
+
+# the subset-lattice walk visits connected sets only, so these answer at once;
+# an edgeless rank-20 diagram took 5.4 s and 125 MB when it visited them all
+@pytest.mark.parametrize("text, rank", [("rank: 40\n", 40), (_disjoint_a3(13), 39)])
+def test_many_small_components_answer_within_a_second(text, rank, monkeypatch, capsys):
+    system = parse_diagram(text)
+    start = time.perf_counter()
+    assert kazhdan_threshold(system).d == rank
+    assert is_hyperbolic(system).hyperbolic
+    assert minimal_infinite_subsets(system) == []
+    assert max_spherical_rank(system) == rank
+    assert time.perf_counter() - start < 1
+    for command in ("threshold", "hyperbolic", "parabolics"):
+        start = time.perf_counter()
+        code, out, _ = run_cli([command, "--stdin", "--format", "json"], text, monkeypatch, capsys)
+        assert time.perf_counter() - start < 1, command
+        assert code == 0
+        payload = json.loads(out)
+        if command == "threshold":
+            assert payload["d"] == rank
+        elif command == "hyperbolic":
+            assert payload["verdict"] == "hyperbolic"
+        else:
+            assert payload["max_spherical_rank"] == rank
+            assert payload["minimal_infinite"] == []
