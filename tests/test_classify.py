@@ -690,25 +690,28 @@ def test_pair_search_keeps_equal_totals_for_the_lex_order():
     assert is_hyperbolic(s).witness == CommutingInfinitePair((0, 5, 6), (9, 10, 11))
 
 
+def _shifted(parts):
+    """Disjoint union of systems, with the vertices of each part shifted."""
+    edges, base = {}, 0
+    for p in parts:
+        edges.update(((base + i, base + j), m) for i, j, m in p.edges())
+        base += p.rank
+    return CoxeterSystem.from_edges(base, edges)
+
+
 def test_max_spherical_rank_sums_spherical_and_other_components():
     # E8 is spherical and counts its 8 vertices; the ~A2 triangle is not and
     # contributes 2; the commuting pair of infinite bonds contributes 1 + 1
-    s = CoxeterSystem.from_edges(
-        15,
-        {**{(i, j): m for i, j, m in type_E(8).edges()},
-         (8, 9): 3, (9, 10): 3, (8, 10): 3, (11, 12): INFINITY, (13, 14): INFINITY},
-    )
+    s = _shifted([type_E(8), affine_A(2), path_system([INFINITY]), path_system([INFINITY])])
     assert max_spherical_rank(s) == 8 + 2 + 1 + 1
     assert minimal_infinite_subsets(s) == [(11, 12), (13, 14), (8, 9, 10)]
 
 
 def test_max_spherical_rank_of_all_inf_labels_is_maximum_independent_set():
     # the Petersen graph: outer 5-cycle, inner pentagram, five spokes
-    edges = {}
-    for i in range(5):
-        edges[(i, (i + 1) % 5) if i < 4 else (0, 4)] = INFINITY
-        edges[(5 + i, 5 + (i + 2) % 5) if i < 3 else (5 + (i + 2) % 5, 5 + i)] = INFINITY
-        edges[(i, 5 + i)] = INFINITY
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges = {tuple(sorted(p)): INFINITY for p in pairs}
     s = CoxeterSystem.from_edges(10, edges)
     independent = [
         c for size in range(11) for c in combinations(range(10), size)
@@ -717,15 +720,6 @@ def test_max_spherical_rank_of_all_inf_labels_is_maximum_independent_set():
     assert max(map(len, independent)) == 4
     assert max_spherical_rank(s) == 4
     assert minimal_infinite_subsets(s) == sorted((i, j) for i, j in edges)
-
-
-def _shifted(parts):
-    """Disjoint union of systems, with the vertices of each part shifted."""
-    edges, base = {}, 0
-    for p in parts:
-        edges.update(((base + i, base + j), m) for i, j, m in p.edges())
-        base += p.rank
-    return CoxeterSystem.from_edges(base, edges)
 
 
 def test_scans_on_a_twenty_component_union():
