@@ -175,6 +175,25 @@ _NAME_RE = re.compile(r"^(~?[A-Z])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
 
 
+def name_rank(name: str) -> int:
+    """Rank of the diagram standard_system(name) builds, read off the name
+    without building it: n for a family name such as A5, n + 1 for an affine
+    one such as ~A5.
+
+    Raises ValueError for a name outside the naming grammar; a subscript
+    that its family does not take (E9) is refused by standard_system only.
+    """
+    name = name.strip()
+    if name in _PLAIN:
+        return _PLAIN[name]().rank
+    if _I2_RE.match(name):
+        return 2
+    m = _NAME_RE.match(name)
+    if m and m.group(1) in _FAMILY:
+        return int(m.group(2)) + m.group(1).startswith("~")
+    raise ValueError(f"unknown diagram name: {name!r}")
+
+
 def standard_system(name: str) -> CoxeterSystem:
     """Construct a standard diagram from its name, e.g. A4, B3, ~C2, I2(7), E10.
 

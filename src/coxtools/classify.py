@@ -466,15 +466,6 @@ def _reach(adj: list[int], mask: int, start: int) -> int:
 # -- derived predicates --------------------------------------------------------
 
 
-# index pairs of the vertices of a set of at most three
-_PAIRS = ((), (), ((0, 1),), ((0, 1), (0, 2), (1, 2)))
-
-
-def _bonds(labels, verts) -> list:
-    """Labels of the diagram edges among at most three vertices."""
-    return [m for i, j in _PAIRS[len(verts)] if (m := labels[verts[i]][verts[j]]) != 2]
-
-
 def _small_spherical(labels, verts) -> bool:
     """Sphericity of the subdiagram on at most three vertices.
 
@@ -482,26 +473,13 @@ def _small_spherical(labels, verts) -> bool:
     sending ranks 2 and 3 through classify_irreducible made the
     sweep-criterion benchmark pass about twice as slow.  Two bonds p, q form
     a path, which is spherical when (p-2)(q-2) < 4 (an inf bond makes the
-    product inf), affine (~C2, ~G2) when it is 4 and indefinite above; three
-    form a triangle, which is never spherical and is affine only as the
-    all-3 ~A2.  A connected triple that fails the test with finite labels is
-    minimal infinite, and _triple_affine reads off the same bonds whether it
-    is affine.
+    product inf); three form a triangle, which is never spherical.
     """
-    bonds = _bonds(labels, verts)
+    bonds = [m for i, j in combinations(verts, 2) if (m := labels[i][j]) != 2]
     if len(bonds) == 2:
         p, q = bonds
         return (p - 2) * (q - 2) < 4
     return not bonds or len(bonds) == 1 and bonds[0] != INFINITY
-
-
-def _triple_affine(labels, verts) -> bool:
-    """Affineness of a minimal infinite subdiagram on three vertices."""
-    bonds = _bonds(labels, verts)
-    if len(bonds) == 3:
-        return bonds == [3, 3, 3]
-    p, q = bonds
-    return (p - 2) * (q - 2) == 4
 
 
 def is_spherical(system: CoxeterSystem) -> bool:
@@ -606,6 +584,12 @@ class _SphericalClosure:
         close T's neighbours.  v is T's lowest vertex, so the sets are tabled
         by lowest vertex, largest first; the tables are built here, on first
         use, so the other scans never pay for them.
+
+        Drops run as a loop down a chain of parts, each the first component
+        of the rest, and are memoised on the way back.  Only a take (which
+        closes v and a neighbour) or the other components of the rest
+        recurse, on at least two vertices fewer, so the depth stays within
+        half the rank.
         """
         adj, known = self.adj, self.known
         through: list[list[tuple[int, int, int]]] = [[] for _ in adj]
@@ -620,20 +604,33 @@ class _SphericalClosure:
             while open_:
                 part = _reach(adj, open_, open_ & -open_)
                 open_ ^= part
-                if part in known:
-                    total += part.bit_count()
-                    continue
-                if (got := memo.get(part)) is None:
+                # (part, its best take, best of the rest's other components);
+                # got ends as the best of the part the chain stops at
+                chain = []
+                while True:
+                    if part in known:
+                        got = part.bit_count()
+                        break
+                    if (got := memo.get(part)) is not None:
+                        break
                     low = part & -part
                     room = part.bit_count() - 1  # the part is not spherical
-                    got = 0
+                    take = 0
                     for size, mask, closed in through[low.bit_length() - 1]:
-                        if not mask & ~part and size + (part & ~closed).bit_count() > got:
-                            got = max(got, size + best(part & ~closed))
-                            if got == room:
+                        if not mask & ~part and size + (part & ~closed).bit_count() > take:
+                            take = max(take, size + best(part & ~closed))
+                            if take == room:
                                 break
-                    if got < room:
-                        got = max(got, best(part ^ low))
+                    if take == room:  # no drop can do better
+                        chain.append((part, take, 0))
+                        got = 0
+                        break
+                    rest = part ^ low
+                    on = _reach(adj, rest, rest & -rest)
+                    chain.append((part, take, best(rest ^ on)))
+                    part = on
+                for part, take, side in reversed(chain):
+                    got = max(take, side + got)
                     memo[part] = got
                 total += got
             return total
@@ -651,11 +648,7 @@ class _SphericalClosure:
             if len(verts) < start:
                 continue
             if t is None:
-                # only affine triples go to the tables, for their exact names
-                if len(verts) == 3 and not _triple_affine(self.labels, verts):
-                    t = INDEFINITE
-                else:
-                    t = _classify_connected(_slice(self.labels, verts))
+                t = _classify_connected(_slice(self.labels, verts))
                 self.minimal[i] = (verts, mask, t)
             if t.is_affine:
                 yield verts, t

@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Optional
 
-from .catalog import _NAME_RE, standard_system
+from .catalog import name_rank, standard_system
 from .classify import (
     classify,
     has_affine_parabolic,
@@ -119,15 +119,14 @@ def parse_diagram(text: str) -> CoxeterSystem:
             if len(args) != 1:
                 _fail("expected: type: <NAME>", lineno, head_col)
             name, col = args[0]
-            # a family name with subscript n has rank n, or n + 1 if affine
-            if (fam := _NAME_RE.match(name)) and (
-                size := int(fam[2]) + fam[1].startswith("~")
-            ) > MAX_RANK:
-                _fail(f"type {name} has rank {size}, above the limit {MAX_RANK}", lineno, col)
             try:
-                type_system = standard_system(name)
+                size = name_rank(name)
+                if size <= MAX_RANK:  # else no builder makes the rank^2 matrix
+                    type_system = standard_system(name)
             except ValueError:
                 _fail(f"unknown diagram name {name!r}", lineno, col)
+            if size > MAX_RANK:
+                _fail(f"type {name} has rank {size}, above the limit {MAX_RANK}", lineno, col)
         else:
             _fail("expected 'rank:', 'edge:' or 'type:'", lineno, head_col)
 

@@ -57,6 +57,7 @@ from coxtools.catalog import (
     type_I2,
 )
 from coxtools.classify import _enclosure, _inertia_fixed, gram_matrix
+from coxtools.cli import MAX_RANK
 from coxtools.enumeration import canonical_code
 from conftest import coxeter_systems
 
@@ -751,13 +752,29 @@ def test_scans_do_not_build_the_packing_tables():
     assert "max_rank" in vars(closure)
 
 
+def test_packing_of_an_all_inf_complete_diagram_at_the_rank_limit():
+    # every pair is an infinite bond, so the only spherical sets are single
+    # vertices and each drop leaves one connected part: a recursive drop
+    # would nest once per vertex
+    n = MAX_RANK
+    s = CoxeterSystem.from_edges(n, {(i, j): INFINITY for i, j in combinations(range(n), 2)})
+    assert max_spherical_rank(s) == 1
+    assert kazhdan_threshold(s).d == 1
+
+
+def test_packing_of_an_all_inf_path_at_the_rank_limit():
+    # every take closes two vertices, so takes nest MAX_RANK / 2 deep
+    n = MAX_RANK
+    s = path_system([INFINITY] * (n - 1))
+    assert max_spherical_rank(s) == n // 2
+
+
 _TRIPLE_LABELS = (2, 3, 4, 5, 6, 7, 8, 12, INFINITY)
 
 
 @pytest.mark.parametrize("p", _TRIPLE_LABELS)
 def test_triple_label_test_matches_the_tables(p):
-    # every connected triple: spherical by the label test iff by the tables,
-    # and a minimal infinite one affine by the label test iff by the tables
+    # every connected triple is spherical by the label test iff by the tables
     for q in _TRIPLE_LABELS:
         for r in _TRIPLE_LABELS:
             s = CoxeterSystem.from_edges(3, {(0, 1): p, (0, 2): q, (1, 2): r})
@@ -765,8 +782,6 @@ def test_triple_label_test_matches_the_tables(p):
                 continue
             t = classify_irreducible(s)
             assert classify_module._small_spherical(s.labels, (0, 1, 2)) == t.is_spherical
-            if minimal_infinite_subsets(s) == [(0, 1, 2)]:
-                assert classify_module._triple_affine(s.labels, (0, 1, 2)) == t.is_affine
 
 
 # -- pinned scan outputs -------------------------------------------------------

@@ -18,6 +18,7 @@ from coxtools import (
     minimal_infinite_subsets,
     standard_system,
 )
+from coxtools.catalog import name_rank
 from coxtools.cli import MAX_RANK, DiagramParseError, main, parse_diagram, render_diagram
 from conftest import coxeter_systems
 
@@ -137,6 +138,19 @@ def test_type_name_above_the_limit_is_a_parse_error(name, rank, monkeypatch, cap
 @pytest.mark.parametrize("name", ["A1000", "~A999", "D1000"])
 def test_type_name_at_the_limit_is_accepted(name):
     assert parse_diagram(f"type: {name}").rank == MAX_RANK
+
+
+def test_unknown_family_with_a_big_subscript_is_an_unknown_name():
+    e = err("type: Q2000")
+    assert (e.line, e.column, e.message) == (1, 7, "unknown diagram name 'Q2000'")
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "B2", "C5", "D4", "E8", "F4", "G2", "H3", "I2(7)", "I2(inf)", "E10",
+             "~A1", "~A4", "~B2", "~B5", "~C2", "~D4", "~D6", "~E6", "~E8", "~F4", "~G2"],
+)
+def test_name_rank_is_the_rank_of_the_built_diagram(name):
+    assert name_rank(name) == standard_system(name).rank
 
 
 def test_parse_error_str_carries_position():
