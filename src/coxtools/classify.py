@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
-from math import lcm
+from math import lcm, log2
 from typing import Iterator, Optional
 
 from .core import (
@@ -728,7 +728,11 @@ def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root by integer Newton iteration."""
     if k == 1 or n < 2:
         return n
-    x = 1 << -(-n.bit_length() // k)
+    # start above the root by a factor of about 1 + 2^-30 (float logs are far
+    # closer), so that Newton falls to it in a few steps
+    e = log2(n) / k
+    s = max(0, int(e) - 60)
+    x = int(2.0 ** (e - s) * (1 + 2.0**-30) + 1) << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -736,16 +740,26 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for k in range(1, n.bit_length() + 1):
-        r = _iroot(n, k)
-        if r ** k == n:
-            return _is_prime(r)
-        if r < 2:
-            break
-    return False
+def _next_prime(n: int) -> int:
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+def _least_prime_power(n: int) -> int:
+    """The least prime power p^k >= n.
+
+    For each k the least candidate is the k-th power of the least prime at or
+    above the ceiling of the k-th root of n, so the answer is the least of
+    these.  The prime scan (k = 1) comes first, and a k whose ceiling root
+    already reaches it in k-th power needs no prime search.
+    """
+    best = _next_prime(max(n, 2))
+    for k in range(2, (n - 1).bit_length() + 1):
+        r = _iroot(n - 1, k) + 1
+        if r**k < best:
+            best = min(best, _next_prime(r) ** k)
+    return best
 
 
 @dataclass(frozen=True)
@@ -768,7 +782,4 @@ def _threshold_for_rank(d: int) -> tuple[Fraction, int]:
     """The bound 1764^d / 25 and the prime power q, searched once per d."""
     bound = Fraction(1764) ** d / 25
     # 1764 is coprime to 5, so the bound is never an integer
-    q = -(-bound.numerator // bound.denominator)
-    while not _is_prime_power(q):
-        q += 1
-    return bound, q
+    return bound, _least_prime_power(-(-bound.numerator // bound.denominator))

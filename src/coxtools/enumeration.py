@@ -27,6 +27,14 @@ by classify on 3-vertex systems.  A surviving child then
 needs only the component through v of each facet classified; every other
 component of a facet lies in the parent.  EnumFilter.admits stays the
 standalone check.
+
+The label vectors are also listed only up to the parent's twin swaps
+(orderly generation, Read, Ann. Discrete Math. 2, 1978): inside each class of
+twins, vertices with the same label to every other vertex, the labels to v
+do not decrease.  A twin swap of the parent extends to an isomorphism of the
+two children that fixes v, so both give the same canonical deletion answer
+and code.  Only automorphisms of the parent beyond twin swaps still give
+duplicate codes, which each parent's expansion drops.
 """
 
 from __future__ import annotations
@@ -69,6 +77,24 @@ def _enc_label(m: Label) -> int:
     return int(m)
 
 
+def _twins(rows: list[list]) -> list[int]:
+    """The twin class of every vertex, as its least member.
+
+    Two vertices are twins when they carry the same label to every other
+    vertex, so swapping them is an automorphism; twinship is an equivalence.
+    """
+    n = len(rows)
+    twin_id = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if twin_id[u] == u and all(
+                rows[u][w] == rows[v][w] for w in range(n) if w != u and w != v
+            ):
+                twin_id[v] = u
+                break
+    return twin_id
+
+
 def _level_search(
     system: CoxeterSystem, orbits: bool = False
 ) -> tuple[bytes, Optional[tuple[list[int], list[int]]]]:
@@ -82,7 +108,9 @@ def _level_search(
     position.  The search keeps every vertex order whose code so far is
     least, each as the column every unplaced vertex would add next, and
     extends it by each vertex adding the least column, once per class of twin
-    vertices (swappable by an automorphism).
+    vertices (_twins).  A column is an int packing one 16-bit label encoding
+    per placed vertex; all columns of a step have the same length, so ints
+    compare as the encodings do.
 
     Every least order is then a kept one with some twins swapped, so two
     vertices share an orbit exactly when a chain of twin pairs and of kept
@@ -98,21 +126,14 @@ def _level_search(
         for i, row in enumerate(system.labels)
     ]
 
-    twin_id = list(range(n))
-    for v in range(n):
-        for u in range(v):
-            if twin_id[u] != u:
-                continue
-            if all(enc[u][w] == enc[v][w] for w in range(n) if w not in (u, v)):
-                twin_id[v] = u
-                break
+    twin_id = _twins(enc)
 
-    code: list[int] = []
+    code = [bytes([n])]
     trail: list[list[tuple[int, int]]] = []
-    orders: list[dict[int, tuple]] = [{v: () for v in range(n)}]
-    for _ in range(n):
+    orders: list[dict[int, int]] = [dict.fromkeys(range(n), 0)]
+    for k in range(n):
         least = min(min(order.values()) for order in orders)
-        code.extend(least)
+        code.append(least.to_bytes(2 * k, "big"))
         extended = []
         steps = []
         for i, order in enumerate(orders):
@@ -123,11 +144,11 @@ def _level_search(
                     if orbits:
                         steps.append((i, v))
                     extended.append(
-                        {u: col + (enc[v][u],) for u, col in order.items() if u != v}
+                        {u: col << 16 | enc[v][u] for u, col in order.items() if u != v}
                     )
         trail.append(steps)
         orders = extended
-    code_bytes = bytes([n]) + b"".join(x.to_bytes(2, "big") for x in code)
+    code_bytes = b"".join(code)
     if not orbits:
         return code_bytes, None
 
@@ -368,24 +389,33 @@ def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
 
 
 def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
-    """The label vectors of a new vertex v with no triple {a, b, v} that
-    _triple_table rejects, assigned depth-first so that a prefix is dropped as
-    soon as it fixes one."""
+    """The label vectors of a new vertex v, one per orbit of the parent's
+    twin swaps, with no triple {a, b, v} that _triple_table rejects.
+
+    They are assigned depth-first, and a prefix is dropped as soon as it
+    fixes a rejected triple or gives a vertex a label before (in
+    filt.effective_labels() order) that of an earlier twin: inside each twin
+    class the labels do not decrease.  The table and the twin swaps keep each
+    other's vectors, so this lists exactly the sorted member of every orbit of
+    the admissible vectors.
+    """
     labels = filt.effective_labels()
     n = parent.rank
     table = _triple_table(filt, min(n + 1, 4))
-    if table is None:
-        return list(product(labels, repeat=n))
     index = {m: x for x, m in enumerate(labels)}
+    twin_id = _twins(parent.labels)
     everything = (1 << len(labels)) - 1
     vecs: list[tuple] = [()]
     for b in range(n):
-        rows = [table[index[parent.labels[a][b]]] for a in range(b)]
+        rows = [table[index[parent.labels[a][b]]] for a in range(b)] if table else []
+        twin = max((a for a in range(b) if twin_id[a] == twin_id[b]), default=None)
         nxt = []
         for vec in vecs:
             allowed = everything
             for row, p in zip(rows, vec):
                 allowed &= row[p]
+            if twin is not None:
+                allowed &= everything << vec[twin]
             nxt.extend(vec + (q,) for q in range(len(labels)) if allowed >> q & 1)
         vecs = nxt
     return [tuple(labels[q] for q in vec) for vec in vecs]
@@ -396,9 +426,10 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     parent whose new vertex lies in their canonical deletion orbit, as sorted
     canonical codes.
 
-    Isomorphic label vectors (swapped by an automorphism of the parent) give
-    one code, so the codes are deduplicated here; no other parent gives any
-    of them.
+    _label_vectors lists one vector per orbit of the parent's twin swaps.
+    Vectors swapped by any other automorphism of the parent give isomorphic
+    children and one code, so the codes are deduplicated here; no other
+    parent gives any of them.
     """
     rows = [list(row) for row in parent.labels]
     out = set()

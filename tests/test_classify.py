@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -56,7 +57,7 @@ from coxtools.catalog import (
     type_H,
     type_I2,
 )
-from coxtools.classify import _enclosure, _inertia_fixed, gram_matrix
+from coxtools.classify import _enclosure, _inertia_fixed, _least_prime_power, gram_matrix
 from coxtools.cli import MAX_RANK
 from coxtools.enumeration import canonical_code
 from conftest import coxeter_systems
@@ -923,15 +924,26 @@ def test_threshold_frozen_values():
     assert kazhdan_threshold(type_A(2)).q == 124471
 
 
+def test_least_prime_power_against_sympy():
+    # the proper powers 4, 8, 9, 16, 25, ... must count as prime powers
+    powers = [
+        q for q in range(2, 5004)
+        if sympy.isprime(q) or (pp := sympy.perfect_power(q)) and sympy.isprime(pp[0])
+    ]
+    assert powers[-1] == 5003
+    for n in range(5000):
+        assert _least_prime_power(n) == powers[bisect_left(powers, n)], n
+
+
 def test_threshold_searches_once_per_d(monkeypatch):
     calls = []
-    real = classify_module._is_prime_power
+    real = classify_module._least_prime_power
 
     def counting(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(classify_module, "_is_prime_power", counting)
+    monkeypatch.setattr(classify_module, "_least_prime_power", counting)
     classify_module._threshold_for_rank.cache_clear()
     first = kazhdan_threshold(type_A(3))
     assert calls

@@ -43,11 +43,13 @@ from conftest import coxeter_systems, permuted
 # -- an independent counting oracle for simply-laced enumeration -------------
 #
 # Unlabeled simple graphs on n vertices by Burnside over S_n acting on vertex
-# pairs, then connected counts by the inverse Euler transform.  Nothing here
-# shares code with the canonical-augmentation engine.
+# pairs, then connected counts by the inverse Euler transform.  With k labels
+# on the pairs (label 2 for no edge), a permutation fixes k^cycles of the
+# labellings, not 2^cycles.  Nothing here shares code with the
+# canonical-augmentation engine.
 
 
-def unlabeled_graph_counts(max_n: int) -> list[int]:
+def unlabeled_graph_counts(max_n: int, labels: int = 2) -> list[int]:
     out = []
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
@@ -66,7 +68,7 @@ def unlabeled_graph_counts(max_n: int) -> list[int]:
                     a, b = pairs[x]
                     na, nb = perm[a], perm[b]
                     x = index[(na, nb) if na < nb else (nb, na)]
-            total += 2**cycles
+            total += labels**cycles
         out.append(total // factorial(n))
     return out
 
@@ -102,6 +104,14 @@ def test_disconnected_counts_match_graph_oracle():
     want = unlabeled_graph_counts(5)
     got = [len(enumerate_diagrams(n, filt)) for n in range(1, 6)]
     assert got == want
+
+
+@pytest.mark.parametrize("labels, max_rank", [({2, 3, 4}, 5), ({2, 3, 4, 6}, 4)])
+def test_disconnected_counts_match_labelled_burnside_oracle(labels, max_rank):
+    # full of twins, and more than two labels: the twin rule at its widest
+    filt = EnumFilter(label_set=frozenset(labels), connected_only=False)
+    got = [len(level) for _, level in iter_levels(filt, max_rank)]
+    assert got == unlabeled_graph_counts(max_rank, len(labels))
 
 
 # -- brute-force completeness: every labeling appears exactly once -----------
@@ -620,6 +630,55 @@ def test_expand_parent_gives_each_class_to_one_parent():
             found = set().union(*(oracle_expand(p, filt) for p in parents))
             assert len(kept) == len(set(kept)), (filt, rank)
             assert set(kept) == found, (filt, rank)
+
+
+def twin_swap_orbits(parent: CoxeterSystem, vecs) -> list[set]:
+    """The orbits of vecs under the swaps of two vertices of parent that are
+    automorphisms, by closing each vector under them."""
+    n = parent.rank
+    swaps = []
+    for u, v in combinations(range(n), 2):
+        p = list(range(n))
+        p[u], p[v] = v, u
+        if permuted(parent, p).labels == parent.labels:
+            swaps.append((u, v))
+    orbits, seen = [], set()
+    for vec in vecs:
+        if vec in seen:
+            continue
+        orbit, todo = {vec}, [vec]
+        while todo:
+            w = list(todo.pop())
+            for u, v in swaps:
+                w[u], w[v] = w[v], w[u]
+                if tuple(w) not in orbit:
+                    orbit.add(tuple(w))
+                    todo.append(tuple(w))
+                w[u], w[v] = w[v], w[u]
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        CoxeterSystem.from_edges(4, {}),
+        CoxeterSystem.from_edges(5, {(0, v): 3 for v in range(1, 5)}),
+        CoxeterSystem.from_edges(5, {(a, b): 3 for a in range(2) for b in range(2, 5)}),
+    ],
+    ids=["edgeless", "star", "K23"],
+)
+def test_label_vectors_keep_one_per_twin_swap_orbit(parent, monkeypatch):
+    for filt, _ in EXPANSION_SCOPES:
+        kept = enumeration._label_vectors(parent, filt)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_twins", lambda rows: list(range(len(rows))))
+            unpruned = enumeration._label_vectors(parent, filt)
+        assert len(kept) == len(set(kept)) and set(kept) <= set(unpruned), filt
+        orbits = twin_swap_orbits(parent, unpruned)
+        assert set().union(*orbits) == set(unpruned), filt
+        assert all(len(orbit & set(kept)) == 1 for orbit in orbits), filt
 
 
 def test_triple_table_is_skipped_when_it_rejects_nothing():
