@@ -5,9 +5,9 @@ Two independent engines:
 * a shape recognizer against the standard classification tables (paths,
   cycles, forks with prescribed label patterns), and
 * the exact signature of the cosine Gram matrix, from one fraction-free
-  elimination (quadratic.inertia) of 2B over Z[sqrt2, sqrt3] for
-  crystallographic labels and over fixed-point integer enclosures otherwise,
-  where an algebraic-integer gap certifies every zero.
+  elimination of 2B over fixed-point integer enclosures, where an
+  algebraic-integer gap certifies every zero; for labels 2, 3 and inf the
+  enclosures are exact integers.
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
-from math import lcm, log2
+from math import isqrt, lcm, log2
 from typing import Iterator, Optional
 
 from .core import (
@@ -28,10 +28,8 @@ from .core import (
     _slice,
     components,
     is_connected,
-    is_crystallographic,
     is_infinite_label,
 )
-from .quadratic import NEG_TWICE_COS, TWO, inertia, inertia_exact
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,8 @@ class Signature:
 
 
 class UndecidedSignature(Exception):
-    """Never raised: both signature arithmetics decide every sign.  Kept
-    because callers catch it."""
+    """Never raised: the fixed-point engine decides every sign.  Kept because
+    callers catch it."""
 
 
 # -- Gram matrix and signature ------------------------------------------------
@@ -103,31 +101,29 @@ class UndecidedSignature(Exception):
 def gram_matrix(system: CoxeterSystem):
     """Gram matrix of the cosine form B(s,t) = -cos(pi/m(s,t)), B(s,s) = 1.
 
-    For a crystallographic system this is exactly 2B: diagonal 2, entries
-    -2cos(pi/m) in {0, -1, -sqrt2, -sqrt3, -2}, each a 4-tuple of ints on the
-    basis 1, sqrt2, sqrt3, sqrt6 of Z[sqrt2, sqrt3] (see quadratic.py).  It has
-    the signature of B.  Otherwise it is B itself, as mpmath interval
-    enclosures at the current mpmath.iv precision; signature does not use them.
+    Entries are mpmath interval enclosures at the current mpmath.iv precision,
+    exact where they are rational; signature does not use them.
     """
-    labels = system.labels
-    if is_crystallographic(system):
-        return [[TWO if m == 1 else NEG_TWICE_COS[m] for m in row] for row in labels]
     from mpmath import iv  # only here and in _enclosure, to keep it off start-up
 
     exact = {m: iv.mpf(v) for m, v in _EXACT_ENTRIES.items()}
-    return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in labels]
+    return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in system.labels]
 
 
 # -cos(pi/m) where it is rational, so zeros stay exact; label 1 is the diagonal
 _EXACT_ENTRIES = {1: 1, 2: 0, 3: -0.5, INFINITY: -1}
 
 
-# -- the fixed-point engine: 2B on integer enclosures scaled by 2^p -------------
+# -- the signature engine: 2B on integer enclosures scaled by 2^p ---------------
 
 
 @cache
 def _enclosure(m, p: int) -> tuple[int, int]:
-    """Floor and ceiling of 2^p * -2cos(pi/m), from exact mpmath endpoints."""
+    """Floor and ceiling of 2^p * -2cos(pi/m): by isqrt for -sqrt2 and -sqrt3
+    (m = 4, 6), else from exact mpmath endpoints."""
+    if m == 4 or m == 6:
+        r = isqrt((m // 2) << 2 * p)  # irrational, so floor < 2^p sqrt(m/2)
+        return -r - 1, -r
     from mpmath.libmp import from_int, mpf_shift, to_int
     from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_pi
 
@@ -178,14 +174,69 @@ def _fx_sign(x) -> Optional[int]:
     return 1 if x[0] > 0 else -1 if x[1] < 0 else None if x[0] or x[1] else 0
 
 
+def _inertia(m, p: int, divide) -> Optional[tuple[int, int, int]]:
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix of enclosures
+    at scale 2^p, eliminated in place; None when a sign stays open.
+
+    Symmetric Bareiss elimination (Bareiss, Math. Comp. 22, 1968): after k
+    pivots every active entry is the minor bordering the k pivot rows and
+    columns, so the update S[x][y] = (d*S[x][y] - S[x][k]*S[k][y]) / d_prev
+    divides exactly, and the k-th pivot d_k is the k-th leading minor in
+    pivot order.  By Jacobi's rule it counts as positive iff d_k and d_{k-1}
+    have the same sign (d_0 = 1).  When every active diagonal entry vanishes
+    but some m[i][j] does not, adding row and column j to row and column i
+    is a unimodular congruence that leaves the pivot minors alone and
+    produces the diagonal entry 2*m[i][j].  The pivot is the first diagonal
+    entry of decided nonzero sign; divide(x, d) divides by the last pivot d and
+    brings x back to scale 2^p.
+    """
+    active = list(range(len(m)))
+    plus = minus = zero = 0
+    d_prev, s_prev = (1 << p, 1 << p, 0), 1
+    while active:
+        for piv in active:
+            if s := _fx_sign(m[piv][piv]):
+                break
+        else:  # every active diagonal entry is 0 or undecided
+            block = [(i, j) for a, i in enumerate(active) for j in active[a:]]
+            signs = [_fx_sign(m[i][j]) for i, j in block]
+            if None in signs:
+                return None
+            if not any(signs):
+                zero += len(active)
+                break
+            i, j = next(ij for ij, sg in zip(block, signs) if sg)
+            for k in active:
+                m[i][k] = _fx_add(m[i][k], m[j][k])
+            for k in active:
+                m[k][i] = _fx_add(m[k][i], m[k][j])
+            piv, s = i, _fx_sign(m[i][i])
+        d = m[piv][piv]
+        if s == s_prev:
+            plus += 1
+        else:
+            minus += 1
+        rest = [k for k in active if k != piv]
+        col = m[piv]
+        for ai, x in enumerate(rest):
+            row, cx = m[x], col[x]
+            for y in rest[ai:]:
+                row[y] = m[y][x] = divide(_fx_sub(_fx_mul(d, row[y]), _fx_mul(cx, col[y])), d_prev)
+        d_prev, s_prev = d, s
+        active = rest
+    return plus, zero, minus
+
+
 def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
-    """Inertia of 2B by Bareiss elimination on enclosures (lo, hi, mask):
+    """Inertia of 2B by _inertia on enclosures (lo, hi, mask):
     lo <= 2^p * x <= hi, and mask the irrational labels x was computed from.
 
-    p starts at 64 and doubles while a sign stays open.  This terminates:
-    every active entry is a minor of a unimodular congruent of 2B, so an
-    algebraic integer of Q(cos(pi/L)), L the lcm of its labels, of degree
-    D <= phi(2L)/2.  The conjugates of an entry of 2B are at most 2 in size,
+    When every label is 2, 3 or inf, 2B is an integer matrix: p is 0, every
+    enclosure is a point and the elimination is integer Bareiss, which never
+    leaves a sign open.  Otherwise p starts at 64 and doubles while a sign
+    stays open.  This terminates: every active entry is a minor of a
+    unimodular congruent of 2B, so an algebraic integer of Q(cos(pi/L)), L the
+    lcm of its labels, of degree D <= phi(2L)/2.  The conjugates of an entry of 2B are at most 2 in size,
     so by Hadamard's bound and at most n row/column additions, each adding
     at most 4 minors, those of an entry are at most H = (2 sqrt(n))^n * 4^n.
     A nonzero entry has an integer norm, so |x| >= H^-(D-1), and an
@@ -195,7 +246,7 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
     irrational = sorted(set().union(*system.labels) - _EXACT_ENTRIES.keys())
     hbits = n * (64 * n).bit_length()  # at least 2 log2 H
     gap_bits: dict[int, int] = {}
-    p = 64
+    p = 64 if irrational else 0
 
     def divide(x, d):
         lo, hi, u = x
@@ -215,10 +266,9 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
         table = {m: (int(2 * v) << p, int(2 * v) << p, 0) for m, v in _EXACT_ENTRIES.items()}
         table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
         mat = [[table[m] for m in row] for row in system.labels]
-        one = (1 << p, 1 << p, 0)
-        if out := inertia(mat, one, _fx_add, _fx_sub, _fx_mul, lambda d: d, divide, _fx_sign):
+        if (out := _inertia(mat, p, divide)) is not None:
             return out
-        p *= 2
+        p = 2 * p or 64
 
 
 def signature(system: CoxeterSystem) -> Signature:
@@ -226,8 +276,7 @@ def signature(system: CoxeterSystem) -> Signature:
     plus = zero = minus = 0
     for comp in components(system):
         sub = system if len(comp) == system.rank else _slice(system.labels, comp)
-        crystallographic = is_crystallographic(sub)
-        p, z, m = inertia_exact(gram_matrix(sub)) if crystallographic else _inertia_fixed(sub)
+        p, z, m = _inertia_fixed(sub)
         plus, zero, minus = plus + p, zero + z, minus + m
     return Signature(plus, zero, minus)
 
@@ -697,9 +746,9 @@ _SMALL_PRIMES = (
 def _is_prime(n: int) -> bool:
     """Miller-Rabin over all prime bases <= 100.
 
-    Deterministic far beyond the thresholds reached here (the d=10 threshold
-    is ~1.2e31; twelve bases already cover 3.3e24, and every extra base
-    multiplies the first failure point).
+    A proof only below psi_13 ~ 3.317e24, where the first 13 prime bases are
+    known to suffice (Sorenson and Webster, Math. Comp. 86, 2017).  The
+    threshold q exceeds that from d = 8 on, so there q is a probable prime.
     """
     if n < 2:
         return False

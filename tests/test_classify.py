@@ -6,7 +6,7 @@ import random
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import mpmath
 import numpy as np
@@ -57,7 +57,17 @@ from coxtools.catalog import (
     type_H,
     type_I2,
 )
-from coxtools.classify import _enclosure, _inertia_fixed, _least_prime_power, gram_matrix
+from coxtools.classify import (
+    _enclosure,
+    _fx_add,
+    _fx_mul,
+    _fx_sign,
+    _fx_sub,
+    _inertia,
+    _inertia_fixed,
+    _least_prime_power,
+    gram_matrix,
+)
 from coxtools.cli import MAX_RANK
 from coxtools.enumeration import canonical_code
 from conftest import coxeter_systems
@@ -455,6 +465,200 @@ def test_interval_engine_row_column_addition():
         },
     )
     assert _inertia_fixed(s) == signature(s).as_tuple == (6, 0, 2)
+
+
+# -- the elimination on integer matrices: point enclosures at p = 0 ------------
+
+
+def _exact_divide(x, d):
+    """Division of point enclosures that must come out exact, as Bareiss's do."""
+    (a, b, u), (c, e, v) = x, d
+    q, r = divmod(a, c)
+    assert a == b and c == e and r == 0
+    return (q, q, u | v)
+
+
+def _integer_inertia(rows):
+    return _inertia([[(v, v, 0) for v in row] for row in rows], 0, _exact_divide)
+
+
+def _congruent(g, p):
+    """P^T g P over the integers."""
+    n = len(g)
+    pt_g = [[sum(p[k][i] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(pt_g[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_inertia_identity_and_negatives():
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert _integer_inertia(eye) == (4, 0, 0)
+    assert _integer_inertia([[-v for v in row] for row in eye]) == (0, 0, 4)
+
+
+def test_inertia_zero_diagonal_pair():
+    # [[0,1],[1,0]] has eigenvalues +1 and -1; needs the congruence trick
+    assert _integer_inertia([[0, 1], [1, 0]]) == (1, 0, 1)
+    # eigenvalues sqrt5, 0, -sqrt5: the trick must add the column as well as the
+    # row, or the pivot comes out as m[i][j] instead of 2*m[i][j] and the
+    # remaining block gets the wrong inertia
+    assert _integer_inertia([[0, 2, 0], [2, 0, 1], [0, 1, 0]]) == (1, 1, 1)
+
+
+def test_inertia_singular_block():
+    # rank-1 matrix of ones on 3 vertices: eigenvalues 3, 0, 0
+    assert _integer_inertia([[1] * 3] * 3) == (1, 2, 0)
+
+
+def test_inertia_sylvester_invariance_under_congruence():
+    # twice the Gram of A3 is positive definite, and conjugating it by an
+    # invertible integer matrix preserves the inertia
+    g = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert _integer_inertia(g) == (3, 0, 0)
+    p = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert _integer_inertia(_congruent(g, p)) == (3, 0, 0)
+    # with irrational entries the congruences are the vertex orders: ~C2
+    # (labels 4, 4) and ~G2 (labels 3, 6) are positive semidefinite of
+    # corank 1 in every order, whichever vertex is pivoted first
+    for system in (path_system([4, 4]), path_system([3, 6])):
+        labels = system.labels
+        for order in permutations(range(3)):
+            permuted = CoxeterSystem.from_rows([[labels[i][j] for j in order] for i in order])
+            assert _inertia_fixed(permuted) == (2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "system", [type_A(8), affine_A(7), overextended_E8(), path_system([INFINITY, 3, 3, INFINITY])]
+)
+def test_integer_labels_take_one_pass_at_p_zero(system, monkeypatch):
+    # 2B has integer entries when every label is 2, 3 or inf
+    passes = []
+
+    def recording(mat, p, divide):
+        passes.append(p)
+        return _inertia(mat, p, divide)
+
+    monkeypatch.setattr(classify_module, "_inertia", recording)
+    assert _inertia_fixed(system) == _sympy_signature(system)
+    assert passes == [0]
+
+
+def _charpoly_inertia(rows):
+    """Inertia of a symmetric integer matrix by Descartes' rule of signs on
+    its exact characteristic polynomial, as in _sympy_signature."""
+    coeffs = DomainMatrix(
+        [[sympy.ZZ(v) for v in row] for row in rows], (len(rows), len(rows)), sympy.ZZ
+    ).charpoly()
+    n_zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        n_zero += 1
+
+    def sign_changes(values):
+        signs = [c > 0 for c in values if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    k = len(coeffs) - 1
+    flipped = [c if (k - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), n_zero, sign_changes(flipped)
+
+
+@st.composite
+def symmetric_integer_matrices(draw, max_n=5, bound=3):
+    # a zero diagonal sends the elimination through the row/column addition
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    zero_diagonal = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+@given(symmetric_integer_matrices())
+@settings(max_examples=200)
+def test_integer_bareiss_divisions_are_exact_and_match_charpoly(rows):
+    # zero blocks and singular matrices come up here too; _exact_divide
+    # fails on any Bareiss division that leaves a remainder
+    assert _integer_inertia(rows) == _charpoly_inertia(rows)
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, INFINITY]), min_size=15, max_size=15),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-1, 1])), max_size=8),
+)
+@settings(max_examples=100)
+def test_inertia_sylvester_invariance_under_random_unimodular_congruence(labels, n, ops):
+    # 2B of a {2, 3, inf} system is an integer matrix; P is a product of
+    # elementary matrices I + c E_ij (i != j), so det P = 1
+    pairs = dict(zip(combinations(range(n), 2), labels))
+    system = CoxeterSystem.from_edges(n, {ij: m for ij, m in pairs.items() if m != 2})
+    twice_b = [[{1: 2, 2: 0, 3: -1, INFINITY: -2}[m] for m in row] for row in system.labels]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i < n and j < n and i != j:
+            for row in p:
+                row[j] += c * row[i]
+    want = _inertia_fixed(system)
+    assert _integer_inertia(twice_b) == want
+    assert _integer_inertia(_congruent(twice_b, p)) == want
+
+
+def _enclosures(bound=1 << 70):
+    """(lo, hi, mask) with lo <= hi, some point of it, and the mask."""
+    ends = st.integers(min_value=-bound, max_value=bound)
+
+    @st.composite
+    def draw_one(draw):
+        lo, hi = sorted((draw(ends), draw(ends)))
+        point = draw(st.integers(min_value=lo, max_value=hi))
+        return (lo, hi, draw(st.integers(0, 7))), point
+
+    return draw_one()
+
+
+@given(_enclosures(), _enclosures())
+def test_fixed_point_sum_and_difference_enclose_exact_values(xv, yv):
+    (x, a), (y, b) = xv, yv
+    lo, hi, u = _fx_add(x, y)
+    assert (lo, hi) == (x[0] + y[0], x[1] + y[1]) and lo <= a + b <= hi
+    lo, hi, v = _fx_sub(x, y)
+    assert (lo, hi) == (x[0] - y[1], x[1] - y[0]) and lo <= a - b <= hi
+    assert u == v == x[2] | y[2]
+
+
+@given(_enclosures(), _enclosures())
+def test_fixed_point_product_is_the_exact_hull(xv, yv):
+    # the sign-case shortcuts must give the hull of all four endpoint products
+    (x, a), (y, b) = xv, yv
+    ends = [s * t for s in x[:2] for t in y[:2]]
+    lo, hi, u = _fx_mul(x, y)
+    assert (lo, hi, u) == (min(ends), max(ends), x[2] | y[2])
+    assert lo <= a * b <= hi
+    assert _fx_mul(y, x) == (lo, hi, u)
+
+
+@given(_enclosures(bound=8))
+def test_fixed_point_sign_is_decided_only_off_zero(xv):
+    (lo, hi, u), _ = xv
+    s = _fx_sign((lo, hi, u))
+    if lo > 0 or hi < 0:
+        assert s == (1 if lo > 0 else -1)
+    elif lo == hi == 0:
+        assert s == 0
+    else:
+        assert s is None  # straddles 0 without being the point 0
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@given(p=st.integers(min_value=0, max_value=4096))
+def test_isqrt_enclosures_bracket_the_square_root_exactly(m, p):
+    # -2cos(pi/m) is -sqrt(m/2); in integers, lo < -2^p sqrt(m/2) < hi = lo + 1
+    # exactly when hi^2 < (m/2) 4^p < lo^2, so no float or mpf is involved
+    lo, hi = _enclosure(m, p)
+    assert hi == lo + 1 and hi < 0
+    assert hi * hi < (m // 2) << 2 * p < lo * lo
 
 
 # -- sphericity and parabolic scans -----------------------------------------

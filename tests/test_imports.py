@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: the query subcommands stay off mpmath and
-the campaign modules, and the lazy names and imports still work.
+the campaign modules, crystallographic signatures stay off mpmath, and the
+lazy names and imports still work.
 
 The test process itself has loaded everything, so these checks run in
 subprocesses.
@@ -104,14 +105,16 @@ def test_queries_load_no_campaign_modules_or_mpmath(command, diagram, want):
     "args",
     [
         ["verify", "--campaign", "engine-agreement", "--max-rank", "3"],
+        # the enclosures of -sqrt2 and -sqrt3 (labels 4 and 6) come from isqrt
+        ["verify", "--campaign", "engine-agreement", "--labels", "2,3,4,6", "--max-rank", "3"],
         ["enumerate", "--max-rank", "3"],
     ],
-    ids=["verify", "enumerate"],
+    ids=["verify", "verify-2346", "enumerate"],
 )
 def test_campaign_commands_run_cold(args, capsys):
     code, out, heavy = cold_cli(args)
     assert code == 0
-    assert "coxtools.enumeration" in heavy
+    assert "coxtools.enumeration" in heavy and "mpmath" not in heavy
     assert main(args) == 0
     assert out == capsys.readouterr().out
 
@@ -123,7 +126,8 @@ from coxtools import gram_matrix, signature, standard_system
 
 before = [m for m in ("mpmath", "coxtools.enumeration", "coxtools.experiments") if m in sys.modules]
 h4 = signature(standard_system("H4")).as_tuple
-gram = [[(float(x.a), float(x.b)) for x in row] for row in gram_matrix(standard_system("H3"))]
+gram = {name: [[(float(x.a), float(x.b)) for x in row] for row in gram_matrix(standard_system(name))]
+        for name in ("H3", "F4", "~G2")}
 listed = sorted(set(coxtools.__all__) - set(dir(coxtools)))
 star = {}
 exec("from coxtools import *", star)
@@ -145,12 +149,15 @@ def test_first_calls_in_a_fresh_interpreter():
     got = json.loads(proc.stdout)
     assert got["before"] == []
     assert got["h4"] == [4, 0, 0]
-    # B(s, t) = -cos(pi / m(s, t)), exact where rational, else enclosed tightly
+    # B(s, t) = -cos(pi / m(s, t)), exact where rational, else enclosed
+    # tightly, as intervals for crystallographic systems too
     exact = {1: 1.0, 2: 0.0, 3: -0.5, INFINITY: -1.0}
-    for row, labels in zip(got["gram"], standard_system("H3").labels):
-        for (lo, hi), m in zip(row, labels):
-            want = exact.get(m, -math.cos(math.pi / m))
-            assert lo <= want <= hi and hi - lo < 1e-12
+    assert sorted(got["gram"]) == ["F4", "H3", "~G2"]
+    for name, gram in got["gram"].items():
+        for row, labels in zip(gram, standard_system(name).labels):
+            for (lo, hi), m in zip(row, labels):
+                want = exact.get(m, -math.cos(math.pi / m))
+                assert lo <= want <= hi and hi - lo < 1e-12
     assert got["listed"] == []
     assert got["unbound"] == []
     assert got["unresolved"] == []
