@@ -413,34 +413,24 @@ def _classify_connected(system: CoxeterSystem) -> TypeClass:
 
     branch = [v for v in range(n) if degrees[v] == 3]
 
+    def arm(prev: int, cur: int) -> list:
+        """Edge labels from prev through cur and on along degree-2 vertices
+        to the leaf."""
+        labels = [system.labels[prev][cur]]
+        while degrees[cur] == 2:
+            a, b = adj[cur]
+            prev, cur = cur, b if a == prev else a
+            labels.append(system.labels[prev][cur])
+        return labels
+
     if not branch:
         # a path: read the label sequence from one endpoint
-        start = next(v for v in range(n) if degrees[v] == 1)
-        seq = []
-        prev, cur = -1, start
-        while True:
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            nxt = nxts[0]
-            seq.append(system.labels[cur][nxt])
-            prev, cur = cur, nxt
-        return _classify_path(seq)
+        start = degrees.index(1)
+        return _classify_path(arm(start, adj[start][0]))
 
     if len(branch) == 1:
         b = branch[0]
-        arms = []
-        for first in adj[b]:
-            labels = [system.labels[b][first]]
-            prev, cur = b, first
-            while True:
-                nxts = [w for w in adj[cur] if w != prev]
-                if not nxts:
-                    break
-                labels.append(system.labels[cur][nxts[0]])
-                prev, cur = cur, nxts[0]
-            arms.append(labels)
-        return _classify_fork(arms)
+        return _classify_fork([arm(b, first) for first in adj[b]])
 
     if len(branch) == 2:
         # only ~D has two branch vertices: all four leaves hang off them directly
@@ -540,15 +530,18 @@ def is_spherical(system: CoxeterSystem) -> bool:
 
 
 def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
-    """True iff every generating subset of size <= k is spherical."""
+    """True iff every generating subset of size <= k is spherical.
+
+    A single vertex is spherical, and a pair is exactly when its label is
+    finite, so an inf label decides every k above 1 and its absence k = 2.
+    Above that a subset is spherical unless it holds a minimal infinite
+    subset, so the walk decides.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    n = system.rank
-    size = min(k, n)
-    labels = system.labels
-    if size <= 3:
-        return all(_small_spherical(labels, J) for J in combinations(range(n), size))
-    return all(is_spherical(_slice(labels, J)) for J in combinations(range(n), size))
+    if any(INFINITY in row for row in system.labels):
+        return k == 1
+    return k <= 2 or all(len(verts) > k for verts, _, _ in _closure(system).minimal)
 
 
 class _SphericalClosure:
@@ -561,12 +554,13 @@ class _SphericalClosure:
     neighbour v: a reverse search (Avis and Fukuda, Discrete Appl. Math. 65,
     1996).  A candidate S + v is made once, from the facet that drops its
     largest vertex whose facet is a known connected spherical set, and is
-    classified only when all its facets are spherical, so supersets of
-    infinite subsets are never touched.  The components of a facet S + v - u
-    that miss v lie in S, so only the one through v is looked up; _reach
-    runs only when the facet itself is not known.  Such a candidate is
-    spherical or minimal infinite: the label test decides on at most three
-    vertices, and the tables above that.
+    classified only when every connected facet is a known spherical set, so
+    supersets of infinite subsets are never touched.  That makes every proper
+    subset spherical: a component T of a disconnected facet lies in a
+    connected facet S + v - w, w a leaf outside T of a spanning tree that
+    extends one of T.  _reach runs only to tell whether an unknown facet is
+    connected.  Such a candidate is spherical or minimal infinite: the label
+    test decides on at most three vertices, and the tables above that.
 
     known maps every connected spherical set to its diagram neighbours, in
     walk order.  minimal lists the minimal infinite subsets in (size, lex)
@@ -600,12 +594,8 @@ class _SphericalClosure:
                         if facet in known:
                             if u > v:
                                 break  # cand is made from the facet without u
-                        # otherwise the component through v must be known,
-                        # as v alone is
-                        elif adj[v] & facet and (
-                            (part := _reach(adj, facet, bit)) == facet or part not in known
-                        ):
-                            break
+                        elif adj[v] & facet and _reach(adj, facet, bit) == facet:
+                            break  # a connected facet that is not spherical
                     else:
                         cverts = verts + (v,)
                         t = None
@@ -704,7 +694,8 @@ class _SphericalClosure:
 
 
 # The only way to get a walk.  One entry suffices because scans of one diagram
-# come in a row: is_hyperbolic then kazhdan_threshold or has_affine_parabolic.
+# come in a row: is_k_spherical, is_hyperbolic and has_affine_parabolic in
+# check_affine_criterion, or is_hyperbolic then kazhdan_threshold.
 _closure = lru_cache(maxsize=1)(_SphericalClosure)
 
 

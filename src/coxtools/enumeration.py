@@ -51,6 +51,7 @@ from .core import (
     INFINITY,
     CoxeterSystem,
     Label,
+    _valid_label,
     is_connected,
     is_infinite_label,
     label_sort_key,
@@ -255,9 +256,7 @@ class EnumFilter:
         if 2 not in ls:
             raise ValueError("the label set must contain 2")
         for m in ls:
-            if not is_infinite_label(m) and (
-                isinstance(m, bool) or not isinstance(m, int) or m < 2
-            ):
+            if not _valid_label(m):
                 raise ValueError(f"bad label {m!r} in label set")
         object.__setattr__(self, "label_set", ls)
         k = self.k_spherical
@@ -473,8 +472,7 @@ def enumerate_diagrams(
     rank: int, filt: EnumFilter, jobs: int = 1
 ) -> list[CoxeterSystem]:
     """One representative per isomorphism class of the given rank passing filt."""
-    empty = CoxeterSystem.empty()
-    level = [empty] if filt.admits(empty) else []
+    level = [CoxeterSystem.empty()]
     with worker_map(jobs) as imap:
         for _, level in iter_levels(filt, rank, imap):
             pass

@@ -679,18 +679,6 @@ def test_is_spherical_matches_componentwise_classify(s):
     assert is_spherical(s) == want
 
 
-@given(coxeter_systems(max_rank=5))
-@settings(max_examples=40)
-def test_is_k_spherical_brute_force(s):
-    for k in (1, 2, 3, 4):
-        want = all(
-            is_spherical(restrict(s, c))
-            for size in range(1, min(k, s.rank) + 1)
-            for c in combinations(range(s.rank), size)
-        )
-        assert is_k_spherical(s, k) == want
-
-
 # the per-subset scans the bitmask walk replaced, kept as brute-force references
 
 
@@ -732,6 +720,23 @@ def mixed_systems(draw, max_rank=7):
 
 
 @given(mixed_systems())
+@settings(max_examples=150)
+def test_is_k_spherical_brute_force(s):
+    # the least size of a non-spherical subset, if there is one
+    least = next(
+        (
+            size
+            for size in range(1, s.rank + 1)
+            for c in combinations(range(s.rank), size)
+            if not is_spherical(restrict(s, c))
+        ),
+        math.inf,
+    )
+    for k in range(1, s.rank + 2):
+        assert is_k_spherical(s, k) == (k < least), k
+
+
+@given(mixed_systems())
 @settings(max_examples=300)
 def test_minimal_infinite_subsets_brute_force(s):
     assert minimal_infinite_subsets(s) == _ref_minimal_infinite(s)
@@ -756,6 +761,8 @@ _CACHED_SCANS = {
     "is_hyperbolic": is_hyperbolic,
     "check_affine_criterion": check_affine_criterion,
     "kazhdan_threshold": lambda s: kazhdan_threshold(s) if s.rank else None,
+    "is_k_spherical_3": lambda s: is_k_spherical(s, 3),
+    "is_k_spherical_4": lambda s: is_k_spherical(s, 4),
 }
 
 

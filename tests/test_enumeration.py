@@ -114,6 +114,18 @@ def test_disconnected_counts_match_labelled_burnside_oracle(labels, max_rank):
     assert got == unlabeled_graph_counts(max_rank, len(labels))
 
 
+@pytest.mark.parametrize("connected", [True, False])
+def test_two_spherical_filter_only_drops_the_inf_label(connected):
+    # a pair is spherical exactly when its label is finite; this oracle runs
+    # no subset scan
+    with_inf = EnumFilter(
+        label_set=frozenset({2, 3, 4, INFINITY}), connected_only=connected, k_spherical=2
+    )
+    plain = EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=connected)
+    got = [[canonical_code(s) for s in level] for _, level in iter_levels(with_inf, 5)]
+    assert got == [[canonical_code(s) for s in level] for _, level in iter_levels(plain, 5)]
+
+
 # -- brute-force completeness: every labeling appears exactly once -----------
 
 
@@ -405,10 +417,11 @@ def test_deletion_orbit_breaks_ties_across_orbits_invariantly():
 
 
 def test_filter_requires_label_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must contain 2"):
         EnumFilter(label_set=frozenset({3, 4}))
-    with pytest.raises(ValueError):
-        EnumFilter(label_set=frozenset({2, True}))
+    for bad in (True, 1, 3.0, "3", -INFINITY):
+        with pytest.raises(ValueError, match="bad label"):
+            EnumFilter(label_set=frozenset({2, bad}))
     with pytest.raises(ValueError):
         EnumFilter(label_set=frozenset({2, 3}), k_spherical=0)
 
