@@ -35,6 +35,10 @@ do not decrease.  A twin swap of the parent extends to an isomorphism of the
 two children that fixes v, so both give the same canonical deletion answer
 and code.  Only automorphisms of the parent beyond twin swaps still give
 duplicate codes, which each parent's expansion drops.
+
+A child is derived from its parent's encoded state, built once per parent:
+rows plus one column, neighbour masks plus the bits of v, and twin classes,
+computed only for a level search, split by the labels to v.
 """
 
 from __future__ import annotations
@@ -97,21 +101,21 @@ def _twins(rows: list[list]) -> list[int]:
 
 
 def _level_search(
-    system: CoxeterSystem, orbits: bool = False
+    enc: list[list[int]], twin_id: list[int], orbits: bool = False
 ) -> tuple[bytes, Optional[tuple[list[int], list[int]]]]:
-    """The canonical code of system and, if orbits is set, the automorphism
-    orbit of every vertex (as its least member) and of every position of the
-    least vertex orders.
+    """The canonical code of encoded rows enc (canonical_code's, or a child's
+    derived from its parent by _child) with twin classes twin_id and, if
+    orbits is set, the automorphism orbit of every vertex (as its least
+    member) and of every position of the least vertex orders.
 
     The code is the rank byte, then the lexicographically least
     column-by-column label encoding over all vertex orders.  Every column has
     a fixed length, so the least code takes the least column at every
     position.  The search keeps every vertex order whose code so far is
     least, each as the column every unplaced vertex would add next, and
-    extends it by each vertex adding the least column, once per class of twin
-    vertices (_twins).  A column is an int packing one 16-bit label encoding
-    per placed vertex; all columns of a step have the same length, so ints
-    compare as the encodings do.
+    extends it by each vertex adding the least column, once per twin class.
+    A column packs one 16-bit label encoding per placed vertex into an int;
+    all columns of a step have the same length, so ints compare as codes do.
 
     Every least order is then a kept one with some twins swapped, so two
     vertices share an orbit exactly when a chain of twin pairs and of kept
@@ -119,21 +123,12 @@ def _level_search(
     records, per position, each extension as (index of the order it
     extends, vertex placed), and walks back from the orders kept at the end.
     """
-    n = system.rank
-    if n > RANK_CAP:
-        raise ValueError(f"rank {n} exceeds the supported cap of {RANK_CAP}")
-    enc = [
-        [0 if i == j else _enc_label(m) for j, m in enumerate(row)]
-        for i, row in enumerate(system.labels)
-    ]
-
-    twin_id = _twins(enc)
-
+    n = len(enc)
     code = [bytes([n])]
     trail: list[list[tuple[int, int]]] = []
     orders: list[dict[int, int]] = [dict.fromkeys(range(n), 0)]
     for k in range(n):
-        least = min(min(order.values()) for order in orders)
+        least = min(map(min, map(dict.values, orders)))
         code.append(least.to_bytes(2 * k, "big"))
         extended = []
         steps = []
@@ -169,23 +164,29 @@ def _level_search(
 def canonical_code(system: CoxeterSystem) -> bytes:
     """Isomorphism-invariant code: rank byte, then the lexicographically
     least column-by-column label encoding over all vertex orders."""
-    return _level_search(system)[0]
+    n, labels = system.rank, system.labels
+    if n > RANK_CAP:
+        raise ValueError(f"rank {n} exceeds the supported cap of {RANK_CAP}")
+    enc = [[0 if i == j else _enc_label(labels[i][j]) for j in range(n)] for i in range(n)]
+    return _level_search(enc, _twins(enc))[0]
 
 
-def _deletion_code(system: CoxeterSystem, v: int, connected_only: bool) -> Optional[bytes]:
-    """The canonical code of system if vertex v lies in its canonical
-    deletion orbit, else None.
+def _deletion_code(
+    enc: list[list[int]], adj: list[int], twins: Callable, v: int, connected_only: bool
+) -> Optional[bytes]:
+    """The canonical code of encoded rows enc with masks adj (a child's, from
+    _child) if vertex v lies in its canonical deletion orbit, else None.
 
     The orbit is picked in three isomorphism-invariant steps: the eligible
     vertices (the non-cut ones under connected_only, else all), of these the
-    ones with the largest invariant (degree, then the sorted (label,
+    ones with the largest invariant (degree, then the sorted (encoded label,
     neighbour degree) pairs), and of these the orbit of the one placed first
     by the least orders.  The answer is None as soon as an eligible vertex
-    beats v, and the least orders are searched for their orbits only when
-    other eligible vertices tie with v.
+    beats v; only a level search asks twins() for the twin classes, and it
+    searches the least orders for their orbits only when other eligible
+    vertices tie with v.
     """
-    n = system.rank
-    adj = _adjacency(system.labels)
+    n = len(enc)
     deg = [mask.bit_count() for mask in adj]
     full = (1 << n) - 1
 
@@ -194,8 +195,8 @@ def _deletion_code(system: CoxeterSystem, v: int, connected_only: bool) -> Optio
         return not connected_only or not rest or _reach(adj, rest, rest & -rest) == rest
 
     def invariant(u: int) -> tuple:
-        row = system.labels[u]
-        return deg[u], sorted((row[w], deg[w]) for w in range(n) if adj[u] >> w & 1)
+        # a neighbour w has enc[u][w] other than 2 and the diagonal's 0
+        return deg[u], sorted([(c, deg[w]) for w, c in enumerate(enc[u]) if c != 2 and c])
 
     top = invariant(v)
     equal = []
@@ -210,8 +211,8 @@ def _deletion_code(system: CoxeterSystem, v: int, connected_only: bool) -> Optio
         return None
     tied = [u for u in equal if eligible(u)]
     if not tied:
-        return canonical_code(system)
-    code, (orbit, by_position) = _level_search(system, orbits=True)
+        return _level_search(enc, twins())[0]
+    code, (orbit, by_position) = _level_search(enc, twins(), orbits=True)
     candidates = {orbit[u] for u in tied + [v]}
     first = next(o for o in by_position if o in candidates)
     return code if first == orbit[v] else None
@@ -258,6 +259,7 @@ class EnumFilter:
         for m in ls:
             if not _valid_label(m):
                 raise ValueError(f"bad label {m!r} in label set")
+            _enc_label(m)
         object.__setattr__(self, "label_set", ls)
         k = self.k_spherical
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
@@ -294,20 +296,25 @@ class EnumFilter:
         proper = self.all_proper_parabolics_spherical_or_affine
         return not proper or not any(t.is_indefinite for _, t in classify(system))
 
-    def _admits_extension(self, child: CoxeterSystem) -> bool:
-        """admits, for a child of an admitted, extendable parent that has the
-        new vertex last, a label vector from _label_vectors, and is connected
-        if the filter asks for it.
+    def _admits_extension(self, parent: CoxeterSystem, vec: tuple) -> bool:
+        """admits, for the child of an admitted, extendable parent that adds
+        a new vertex last with a label vector vec from _label_vectors, and is
+        connected if the filter asks for it.
 
         Every subset without the new vertex passed in the parent, so only the
-        subsets through it are tested.  Under k_spherical 3 from rank 3 on,
-        the triple table has seen them all; under the proper-parabolic rule,
-        only the component through the new vertex of each facet can fail.
+        subsets through it are tested, and the child is built only if some
+        are.  Under k_spherical 3 from rank 3 on, the triple table has seen
+        them all; under the proper-parabolic rule, only the component through
+        the new vertex of each facet can fail.
         """
-        k = self.k_spherical
-        if k is not None and (k != 3 or child.rank < 3) and not is_k_spherical(child, k):
-            return False
+        k = None if self.k_spherical == 3 and parent.rank >= 2 else self.k_spherical
         proper = self.all_proper_parabolics_spherical_or_affine
+        if k is None and not proper:
+            return True
+        rows = tuple(row + (m,) for row, m in zip(parent.labels, vec))
+        child = CoxeterSystem(rows + (vec + (1,),))
+        if k is not None and not is_k_spherical(child, k):
+            return False
         return not proper or not any(t.is_indefinite for t in _types_through_last(child))
 
     def payload(self) -> dict:
@@ -387,9 +394,9 @@ def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
     return table if rejected else None
 
 
-def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
-    """The label vectors of a new vertex v, one per orbit of the parent's
-    twin swaps, with no triple {a, b, v} that _triple_table rejects.
+def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> list[tuple]:
+    """The label vectors of a new vertex v, one per orbit of the swaps of the
+    parent twins twin_id, with no triple {a, b, v} that _triple_table rejects.
 
     They are assigned depth-first, and a prefix is dropped as soon as it
     fixes a rejected triple or gives a vertex a label before (in
@@ -402,7 +409,6 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
     n = parent.rank
     table = _triple_table(filt, min(n + 1, 4))
     index = {m: x for x, m in enumerate(labels)}
-    twin_id = _twins(parent.labels)
     everything = (1 << len(labels)) - 1
     vecs: list[tuple] = [()]
     for b in range(n):
@@ -420,29 +426,48 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter) -> list[tuple]:
     return [tuple(labels[q] for q in vec) for vec in vecs]
 
 
+def _child(enc: list[list[int]], adj: list[int], twin_id: list[int], col: list[int]):
+    """The encoded rows and masks of the child that adds v, with encoded
+    labels col, to a parent with rows enc, masks adj and twin classes
+    twin_id, and a function giving its twin classes: the parent's split by
+    col, v joining that of any u with enc[u][w] == col[w] for all w != u."""
+    n = len(enc)
+    mask = sum(1 << w for w, c in enumerate(col) if c != 2)
+    masks = [a | 1 << n if c != 2 else a for a, c in zip(adj, col)]
+
+    def twins() -> list[int]:
+        first: dict[tuple[int, int], int] = {}
+        out = [first.setdefault(tc, u) for u, tc in enumerate(zip(twin_id, col))]
+        twin = (out[u] for u, row in enumerate(enc) if row == col[:u] + [0] + col[u + 1 :])
+        return out + [next(twin, n)]
+
+    return [row + [c] for row, c in zip(enc, col)] + [col + [0]], masks + [mask], twins
+
+
 def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     """The admissible one-vertex extensions of one admitted, extendable
     parent whose new vertex lies in their canonical deletion orbit, as sorted
     canonical codes.
 
-    _label_vectors lists one vector per orbit of the parent's twin swaps.
-    Vectors swapped by any other automorphism of the parent give isomorphic
-    children and one code, so the codes are deduplicated here; no other
-    parent gives any of them.
+    The parent's encoded rows, masks and twin classes are built once, and
+    _child derives each child's.  _label_vectors lists one vector per orbit
+    of the parent's twin swaps.  Vectors swapped by any other automorphism
+    of the parent give isomorphic children and one code, so the codes are
+    deduplicated here; no other parent gives any of them.
     """
-    rows = [list(row) for row in parent.labels]
+    code = {1: 0} | {m: _enc_label(m) for m in filt.effective_labels()}
+    enc = [[code[m] for m in row] for row in parent.labels]
+    adj = _adjacency(parent.labels)
+    twin_id = _twins(enc)
     out = set()
-    for vec in _label_vectors(parent, filt):
+    for vec in _label_vectors(parent, filt, twin_id):
         # a new vertex joined to nothing leaves a nonempty parent disconnected
-        if filt.connected_only and rows and all(m == 2 for m in vec):
+        if filt.connected_only and enc and all(m == 2 for m in vec):
             continue
-        child = CoxeterSystem.from_rows(
-            [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
-        )
-        if filt._admits_extension(child):
-            code = _deletion_code(child, parent.rank, filt.connected_only)
-            if code is not None:
-                out.add(code)
+        if filt._admits_extension(parent, vec):
+            child = _child(enc, adj, twin_id, [code[m] for m in vec])
+            out.add(_deletion_code(*child, parent.rank, filt.connected_only))
+    out.discard(None)
     return sorted(out)
 
 

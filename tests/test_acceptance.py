@@ -162,23 +162,37 @@ def test_criterion_3_minimal_infinite_size_bounds():
 # -- 4: the two classification engines agree ------------------------------------
 
 
+# content hashes of the {2,3} rank-8 and {2,3,4,6} rank-5 reports
+CRITERION_4_HASHES = (
+    "6cd7ace63a5adb81632864608f7d0ba91d005b770055a1947bd9a855eddca04d",
+    "628c043ee7848b8f4ee8a7573ec93ace698ba82928bfdafbc045d147598300e6",
+)
+
+
 def test_criterion_4_engine_agreement():
     t0 = time.monotonic()
     laced = verify_engine_agreement(8, frozenset({2, 3}))
     cryst = verify_engine_agreement(5, frozenset({2, 3, 4, 6}))
     elapsed = time.monotonic() - t0
 
-    classes = sum(
-        v["classes"]
-        for rep in (laced, cryst)
-        for v in rep.results["per_rank"].values()
-    )
+    laced_counts = [laced.results["per_rank"][str(k)]["classes"] for k in range(1, 9)]
+    cryst_counts = [cryst.results["per_rank"][str(k)]["classes"] for k in range(1, 6)]
+    classes = sum(laced_counts) + sum(cryst_counts)
     disagreements = sum(
         v["disagreements"]
         for rep in (laced, cryst)
         for v in rep.results["per_rank"].values()
     )
-    ok = laced.passed() and cryst.passed() and disagreements == 0
+    ok = (
+        laced.passed()
+        and cryst.passed()
+        and disagreements == 0
+        # connected graphs on 1..8 vertices, OEIS A001349
+        and laced_counts == [1, 1, 2, 6, 21, 112, 853, 11117]
+        and cryst_counts == [1, 3, 16, 250, 10364]
+        and laced.content_hash() == CRITERION_4_HASHES[0]
+        and cryst.content_hash() == CRITERION_4_HASHES[1]
+    )
     _verdict(
         4,
         ok,

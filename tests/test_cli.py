@@ -314,6 +314,13 @@ def test_enumerate_bad_labels(capsys):
         assert "bad label" in errtext
 
 
+def test_enumerate_label_too_large_to_encode(capsys):
+    code = main(["enumerate", "--max-rank", "1", "--labels", "2,3,70000"])
+    _, errtext = capsys.readouterr()
+    assert code == 2
+    assert "label 70000 cannot be encoded" in errtext
+
+
 @pytest.mark.parametrize(
     "scope", [["--jobs", "0"], ["--jobs", "-2"], ["--max-rank", "-1"]]
 )

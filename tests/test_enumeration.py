@@ -31,11 +31,15 @@ from coxtools import (
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
 from coxtools import enumeration
+from coxtools.classify import _adjacency
 from coxtools.enumeration import (
+    _child,
     _deletion_code,
+    _enc_label,
     _expand_parent,
     _level_search,
     _triple_table,
+    _twins,
 )
 from conftest import coxeter_systems, permuted
 
@@ -350,15 +354,25 @@ def brute_force_orbits(s: CoxeterSystem) -> set[frozenset]:
     return {frozenset(p[v] for p in autos) for v in range(n)}
 
 
+def encode(s: CoxeterSystem) -> list[list[int]]:
+    return [[0 if m == 1 else _enc_label(m) for m in row] for row in s.labels]
+
+
+def deletion_code(s: CoxeterSystem, v: int, connected_only: bool):
+    enc = encode(s)
+    return _deletion_code(enc, _adjacency(s.labels), lambda: _twins(enc), v, connected_only)
+
+
 def deletion_orbit(s: CoxeterSystem, connected_only: bool) -> list[int]:
-    return [v for v in range(s.rank) if _deletion_code(s, v, connected_only) is not None]
+    return [v for v in range(s.rank) if deletion_code(s, v, connected_only) is not None]
 
 
 @given(coxeter_systems(max_rank=6, max_finite=5))
 @settings(max_examples=120)
 def test_level_search_orbits_are_the_automorphism_orbits(s):
     n = s.rank
-    code, (orbit, by_position) = _level_search(s, orbits=True)
+    enc = encode(s)
+    code, (orbit, by_position) = _level_search(enc, _twins(enc), orbits=True)
     assert code == canonical_code(s)
     found = {frozenset(u for u in range(n) if orbit[u] == orbit[v]) for v in range(n)}
     assert found == brute_force_orbits(s)
@@ -383,7 +397,7 @@ def check_deletion_orbit(s: CoxeterSystem, perm: list[int]) -> None:
         if connected_only and s.rank > 1:
             for v in orbit:
                 assert is_connected(restrict(s, tuple(u for u in range(s.rank) if u != v)))
-        assert {_deletion_code(s, v, connected_only) for v in orbit} == {canonical_code(s)}
+        assert {deletion_code(s, v, connected_only) for v in orbit} == {canonical_code(s)}
         assert deletion_orbit(moved, connected_only) == [
             i for i in range(s.rank) if perm[i] in orbit
         ]
@@ -424,6 +438,14 @@ def test_filter_requires_label_two():
             EnumFilter(label_set=frozenset({2, bad}))
     with pytest.raises(ValueError):
         EnumFilter(label_set=frozenset({2, 3}), k_spherical=0)
+
+
+def test_filter_rejects_a_label_it_cannot_encode():
+    # the codes hold a label in 16 bits, so the filter fails before rank 2
+    for big in (65535, 70000):
+        with pytest.raises(ValueError, match=f"label {big} cannot be encoded"):
+            EnumFilter(label_set=frozenset({2, 3, big}))
+    assert 65534 in EnumFilter(label_set=frozenset({2, 65534})).label_set
 
 
 @pytest.mark.parametrize("k", [True, False, 2.5, 3.0, "3", 0, -1])
@@ -682,16 +704,52 @@ def twin_swap_orbits(parent: CoxeterSystem, vecs) -> list[set]:
     ],
     ids=["edgeless", "star", "K23"],
 )
-def test_label_vectors_keep_one_per_twin_swap_orbit(parent, monkeypatch):
+def test_label_vectors_keep_one_per_twin_swap_orbit(parent):
     for filt, _ in EXPANSION_SCOPES:
-        kept = enumeration._label_vectors(parent, filt)
-        with monkeypatch.context() as m:
-            m.setattr(enumeration, "_twins", lambda rows: list(range(len(rows))))
-            unpruned = enumeration._label_vectors(parent, filt)
+        kept = enumeration._label_vectors(parent, filt, _twins(parent.labels))
+        unpruned = enumeration._label_vectors(parent, filt, list(range(parent.rank)))
         assert len(kept) == len(set(kept)) and set(kept) <= set(unpruned), filt
         orbits = twin_swap_orbits(parent, unpruned)
         assert set().union(*orbits) == set(unpruned), filt
         assert all(len(orbit & set(kept)) == 1 for orbit in orbits), filt
+
+
+@st.composite
+def parents_and_vectors(draw):
+    """A parent of rank 0..7 over {2, 3, 5, inf} with some rows copied, so it
+    has twin classes, and a label vector of a new vertex v, sometimes copied
+    from a parent row so that v is a twin of that vertex."""
+    labels = st.sampled_from([2, 3, 5, INFINITY])
+    n = draw(st.integers(min_value=0, max_value=7))
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        mat[i][j] = mat[j][i] = draw(labels)
+    for b in range(1, n):
+        if draw(st.booleans()):
+            a = draw(st.integers(min_value=0, max_value=b - 1))
+            for w in range(n):
+                if w not in (a, b):
+                    mat[b][w] = mat[w][b] = mat[a][w]
+    vec = [draw(labels) for _ in range(n)]
+    if n and draw(st.booleans()):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        vec = [vec[w] if w == u else mat[u][w] for w in range(n)]
+    return CoxeterSystem.from_rows(mat), vec
+
+
+@given(parents_and_vectors())
+@settings(max_examples=300)
+def test_child_state_is_derived_from_the_parent(drawn):
+    parent, vec = drawn
+    child = CoxeterSystem.from_rows(
+        [list(row) + [m] for row, m in zip(parent.labels, vec)] + [vec + [1]]
+    )
+    enc = encode(parent)
+    col = [_enc_label(m) for m in vec]
+    rows, masks, twins = _child(enc, _adjacency(parent.labels), _twins(enc), col)
+    assert rows == encode(child)
+    assert masks == _adjacency(child.labels)
+    assert twins() == _twins(encode(child))
 
 
 def test_triple_table_is_skipped_when_it_rejects_nothing():
