@@ -108,8 +108,6 @@ def affine_D(n: int) -> CoxeterSystem:
     """~D_n (rank n+1): forks at both ends; ~D_4 degenerates to the 4-leaf star."""
     if n < 4:
         raise ValueError("~D_n needs n >= 4")
-    if n == 4:
-        return CoxeterSystem.from_edges(5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3})
     edges: dict[tuple[int, int], Label] = {(0, 2): 3, (1, 2): 3}
     for i in range(2, n - 2):
         edges[(i, i + 1)] = 3

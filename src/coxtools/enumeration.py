@@ -23,9 +23,10 @@ A parent is admitted and extendable, so its children are screened only
 through the new vertex v.  The label vector of v is assigned depth-first, and
 a prefix is dropped as soon as it fixes a triple {a, b, v} that the filter's
 triple table rejects: a table over the label triples, built once per filter
-by classify on 3-vertex systems.  A surviving child then
-needs only the component through v of each facet classified; every other
-component of a facet lies in the parent.  EnumFilter.admits stays the
+by classify on 3-vertex systems.  Under the proper-parabolic rule, that
+settles every facet of a child up to rank 4, so only a surviving child of
+rank 5 and up needs the component through v of each facet classified; every
+other component of a facet lies in the parent.  EnumFilter.admits stays the
 standalone check.
 
 The label vectors are also listed only up to the parent's twin swaps
@@ -304,11 +305,13 @@ class EnumFilter:
         Every subset without the new vertex passed in the parent, so only the
         subsets through it are tested, and the child is built only if some
         are.  Under k_spherical 3 from rank 3 on, the triple table has seen
-        them all; under the proper-parabolic rule, only the component through
-        the new vertex of each facet can fail.
+        them all.  Under the proper-parabolic rule, only the component through
+        the new vertex of each facet can fail, and only from rank 5 on: the
+        proper subsets of a smaller child are vertices and pairs, always
+        spherical or ~A1, and the triples the rank-4 table has seen.
         """
         k = None if self.k_spherical == 3 and parent.rank >= 2 else self.k_spherical
-        proper = self.all_proper_parabolics_spherical_or_affine
+        proper = self.all_proper_parabolics_spherical_or_affine and parent.rank >= 4
         if k is None and not proper:
             return True
         rows = tuple(row + (m,) for row, m in zip(parent.labels, vec))
@@ -339,28 +342,17 @@ class EnumFilter:
 def worker_map(jobs: int = 1) -> Iterator[Callable]:
     """The map one campaign runs its work through, in input order.
 
-    The builtin map for jobs=1, else the ordered imap of a single pool of
-    `jobs` worker processes, started by the first call and ended with the
-    context, so a campaign with no work starts none.
+    The builtin map for jobs=1, else the map of a single pool of `jobs`
+    worker processes, started and ended with the context, which splits each
+    list it is given into about four chunks per worker.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if jobs == 1:
         yield map
         return
-    pool = None
-
-    def imap(func: Callable, items) -> Iterator:
-        nonlocal pool
-        if pool is None:
-            pool = Pool(processes=jobs)
-        return pool.imap(func, items)
-
-    try:
-        yield imap
-    finally:
-        if pool is not None:
-            pool.terminate()
+    with Pool(processes=jobs) as pool:
+        yield pool.map
 
 
 @cache
@@ -479,8 +471,9 @@ def iter_levels(
     Each level lists one representative per class passing filt, in
     canonical-code order, and is built from the members of the level below
     that filt.extendable keeps, starting from the empty diagram.  The parents
-    are expanded through imap (the builtin map, or a worker_map), so the
-    output never depends on it; their sorted, disjoint chunks are merged.
+    of a level are expanded in one call of imap (the builtin map, or a
+    worker_map's), so the output never depends on it; their sorted, disjoint
+    chunks are merged.
     Raises ValueError, once iterated, unless 0 <= max_rank <= RANK_CAP.
     """
     if not 0 <= max_rank <= RANK_CAP:

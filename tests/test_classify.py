@@ -140,6 +140,11 @@ def test_affine_table(system, name, aliases):
     assert set(aliases) <= set(tc.aliases)
 
 
+def test_affine_D4_is_the_four_leaf_star():
+    # the general ~D_n construction with an empty middle path
+    assert affine_D(4).edges() == [(0, 2, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)]
+
+
 INDEFINITE_CASES = [
     ("infinite dihedral path", path_system([INFINITY, 3])),
     ("triangle 3 3 4", CoxeterSystem.from_edges(3, {(0, 1): 3, (1, 2): 3, (0, 2): 4})),

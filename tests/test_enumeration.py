@@ -179,6 +179,7 @@ def test_jobs_do_not_change_output():
     assert [s.labels for s in enumerate_diagrams(4, filt, jobs=1)] == [
         s.labels for s in enumerate_diagrams(4, filt, jobs=3)
     ]
+    assert enumerate_diagrams(0, filt, jobs=2) == enumerate_diagrams(0, filt)
 
 
 def test_iter_levels_yields_every_rank_in_code_order():
@@ -217,17 +218,6 @@ def test_scope_input_is_checked():
                 enumerate_diagrams(rank, filt, jobs=jobs)
     with worker_map(1) as imap:
         assert imap is map
-
-
-def test_rank_zero_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(enumeration, "Pool", no_pool)
-    filt = EnumFilter(label_set=frozenset({2, 3}))
-    assert enumerate_diagrams(0, filt, jobs=2) == enumerate_diagrams(0, filt)
-    with worker_map(2):
-        pass
 
 
 # -- canonical codes ----------------------------------------------------------
@@ -665,6 +655,23 @@ def test_expand_parent_gives_each_class_to_one_parent():
             found = set().union(*(oracle_expand(p, filt) for p in parents))
             assert len(kept) == len(set(kept)), (filt, rank)
             assert set(kept) == found, (filt, rank)
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_facets_are_classified_only_from_child_rank_five(connected_only, monkeypatch):
+    # below rank 5 every proper subset through the new vertex is a vertex, a
+    # pair or a triple the rank-4 triple table has already screened
+    ranks = []
+    real = enumeration._types_through_last
+
+    def recording(child):
+        ranks.append(child.rank)
+        return real(child)
+
+    monkeypatch.setattr(enumeration, "_types_through_last", recording)
+    filt = EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=connected_only, **_PROPER)
+    list(iter_levels(filt, 6))
+    assert ranks and min(ranks) == 5
 
 
 def twin_swap_orbits(parent: CoxeterSystem, vecs) -> list[set]:

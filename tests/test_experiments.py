@@ -253,6 +253,32 @@ def test_one_pool_per_campaign(campaign, pool_count):
     assert pool_count == []
 
 
+def test_pool_maps_whole_levels_and_row_lists(monkeypatch):
+    batches = []
+
+    class RecordingPool:
+        """A pool that maps in process and records the size of every batch."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, func, items):
+            batches.append(len(items))
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(enumeration, "Pool", RecordingPool)
+    run = POOL_SCOPES["engine-agreement"]
+    assert run(2).content_hash() == run(1).content_hash()
+    # per rank: the parents, then the classes
+    assert batches == [1, 1, 1, 1, 1, 2, 2, 6, 6, 21]
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_campaigns_reject_fewer_than_one_job(jobs):
     for run in POOL_SCOPES.values():
