@@ -21,12 +21,15 @@ from a connected spherical facet.
 
 A parent is admitted and extendable, so its children are screened only
 through the new vertex v.  The label vector of v is assigned depth-first, and
-a prefix is dropped as soon as it fixes a triple {a, b, v} that the filter's
-triple table rejects: a table over the label triples, built once per filter
-by classify on 3-vertex systems.  Under the proper-parabolic rule, that
-settles every facet of a child up to rank 4, so only a surviving child of
-rank 5 and up needs the component through v of each facet classified; every
-other component of a facet lies in the parent.  EnumFilter.admits stays the
+a prefix is dropped as soon as it fixes a triple {a, b, v} or a 4-subset
+{a, b, c, v} that the filter's subset tables reject.  The tables are built by
+classify on 3- and 4-vertex systems on first use: the triple table whole, the
+4-subset table one labelling of {a, b, c} at a time, classifying a 4-subset
+only when its four triples pass.  Under the proper-parabolic rule, they
+settle every facet of a child up to rank 5, so only a surviving child of
+rank 6 and up needs the component through v of each facet classified; every
+other component of a facet lies in the parent.  Under k_spherical 3 or 4
+they settle the whole rule from rank 3 on.  EnumFilter.admits stays the
 standalone check.
 
 The label vectors are also listed only up to the parent's twin swaps
@@ -47,7 +50,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, product
+from itertools import chain, combinations
 from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
 
@@ -304,14 +307,17 @@ class EnumFilter:
 
         Every subset without the new vertex passed in the parent, so only the
         subsets through it are tested, and the child is built only if some
-        are.  Under k_spherical 3 from rank 3 on, the triple table has seen
-        them all.  Under the proper-parabolic rule, only the component through
-        the new vertex of each facet can fail, and only from rank 5 on: the
-        proper subsets of a smaller child are vertices and pairs, always
-        spherical or ~A1, and the triples the rank-4 table has seen.
+        are.  Under k_spherical 3 or 4 from rank 3 on, the triple table and
+        the 4-subset table have seen them all.  Under the proper-parabolic
+        rule, only the component through the new vertex of each facet can
+        fail, and only from rank 6 on: a facet of a smaller child has at most
+        four vertices, so that component lies in a subset through the new
+        vertex of size at most 4, which the tables of its rank have seen.
         """
-        k = None if self.k_spherical == 3 and parent.rank >= 2 else self.k_spherical
-        proper = self.all_proper_parabolics_spherical_or_affine and parent.rank >= 4
+        k = self.k_spherical
+        if k in (3, 4) and parent.rank >= 2:
+            k = None
+        proper = self.all_proper_parabolics_spherical_or_affine and parent.rank >= 5
         if k is None and not proper:
             return True
         rows = tuple(row + (m,) for row, m in zip(parent.labels, vec))
@@ -355,62 +361,135 @@ def worker_map(jobs: int = 1) -> Iterator[Callable]:
         yield pool.map
 
 
-@cache
-def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
-    """Which triples {a, b, v} through the new vertex v a child of the given
-    rank may induce, or None when it may induce every one.
+def _subset_table(filt: EnumFilter, rank: int, size: int) -> Optional[Callable]:
+    """Which subsets of the given size through the new vertex v a child of
+    the given rank may induce, as a _kind_table, or None when the filter has
+    no rule for them.
 
-    With L = filt.effective_labels(), bit q of table[x][p] is set when every
-    component of the triple with m(a, b) = L[x], m(a, v) = L[p] and
-    m(b, v) = L[q] has an allowed kind: spherical under k_spherical >= 3, and
-    from rank 4 on, where the triple is a proper subdiagram, spherical or
-    affine under all_proper_parabolics_spherical_or_affine.
+    The rule is every component spherical under k_spherical >= size, and
+    from rank size + 1 on, where the subset is proper, spherical or affine
+    under all_proper_parabolics_spherical_or_affine.
     """
-    if rank < 3:
+    if rank < size:
         return None
-    if filt.k_spherical is not None and filt.k_spherical >= 3:
+    if filt.k_spherical is not None and filt.k_spherical >= size:
         kinds = frozenset({"spherical"})  # the proper-parabolic rule allows it too
-    elif filt.all_proper_parabolics_spherical_or_affine and rank >= 4:
+    elif filt.all_proper_parabolics_spherical_or_affine and rank > size:
         kinds = frozenset({"spherical", "affine"})
     else:
         return None
-    labels = filt.effective_labels()
-    table = [[0] * len(labels) for _ in labels]
-    rejected = False
-    for (x, ab), (p, av), (q, bv) in product(enumerate(labels), repeat=3):
-        triple = CoxeterSystem.from_rows([[1, ab, av], [ab, 1, bv], [av, bv, 1]])
-        if all(t.kind in kinds for _, t in classify(triple)):
-            table[x][p] |= 1 << q
+    return _kind_table(filt.effective_labels(), kinds, size)
+
+
+@cache
+def _kind_table(labels: tuple, kinds: frozenset, size: int) -> Callable:
+    """Which labellings of a triple (size 3) or 4-subset (size 4) through a
+    vertex v have only components of the given kinds, as a cached function
+    of the labels among its other vertices: (m(a, b)) for a triple {a, b, v},
+    (m(a, b), m(a, c), m(b, c)) for a 4-subset {a, b, c, v}.
+
+    Writing each vertex x for the index in labels of m(x, v), bit b of
+    entry [a] of a triple, and bit c of entry [a][b] of a 4-subset, is set
+    when that labelling passes; the function gives None when every labelling
+    passes.  Each key is built on first use.  Both sets of kinds are
+    hereditary, so a 4-subset is classified only when its four triples pass
+    the triple table.
+    """
+    everything = (1 << len(labels)) - 1
+    index = {m: x for x, m in enumerate(labels)}
+    if size == 4:
+        triples = _kind_table(labels, kinds, 3)
+
+        def triple(ab: Label) -> list[int]:
+            return triples((ab,)) or [everything] * len(labels)
+
+    @cache
+    def table(parent: tuple) -> Optional[list]:
+        base = [[1] * (size - 1) for _ in range(size - 1)]
+        for (i, j), m in zip(combinations(range(size - 1), 2), parent):
+            base[i][j] = base[j][i] = m
+
+        def mask(col: list) -> int:
+            out = everything
+            if size == 4:
+                # {a, b, c} and {a, b, v} decide every bit, {a, c, v} and
+                # {b, c, v} one bit each
+                ab, ac, bc = parent
+                p, q = index[col[0]], index[col[1]]
+                whole = triple(ab)[index[ac]] >> index[bc] & triple(ab)[p] >> q & 1
+                out = triple(ac)[p] & triple(bc)[q] if whole else 0
+            for r, m in enumerate(labels):
+                if out >> r & 1:
+                    vec = col + [m]
+                    sub = CoxeterSystem.from_rows(
+                        [row + [x] for row, x in zip(base, vec)] + [vec + [1]]
+                    )
+                    if any(t.kind not in kinds for _, t in classify(sub)):
+                        out ^= 1 << r
+            return out
+
+        if size == 3:
+            out = [mask([p]) for p in labels]
+            masks = out
         else:
-            rejected = True
-    return table if rejected else None
+            out = [[mask([p, q]) for q in labels] for p in labels]
+            masks = list(chain.from_iterable(out))
+        return out if min(masks) < everything else None
+
+    return table
+
+
+@cache
+def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
+    """The triples {a, b, v} a child of the given rank may induce, as the
+    size-3 _subset_table indexed [x][p] for m(a, b) = L[x], with
+    L = filt.effective_labels(), or None when it may induce every one."""
+    table = _subset_table(filt, rank, 3)
+    labels = filt.effective_labels()
+    rows = [table((m,)) for m in labels] if table else []
+    if not any(rows):
+        return None
+    return [row or [(1 << len(labels)) - 1] * len(labels) for row in rows]
 
 
 def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> list[tuple]:
     """The label vectors of a new vertex v, one per orbit of the swaps of the
-    parent twins twin_id, with no triple {a, b, v} that _triple_table rejects.
+    parent twins twin_id, with no triple {a, b, v} that _triple_table rejects
+    and no 4-subset {a, b, c, v} that the size-4 _subset_table rejects.
 
     They are assigned depth-first, and a prefix is dropped as soon as it
-    fixes a rejected triple or gives a vertex a label before (in
+    fixes a rejected subset or gives a vertex a label before (in
     filt.effective_labels() order) that of an earlier twin: inside each twin
-    class the labels do not decrease.  The table and the twin swaps keep each
-    other's vectors, so this lists exactly the sorted member of every orbit of
-    the admissible vectors.
+    class the labels do not decrease.  When position c is assigned, the
+    triples {a, c, v} and 4-subsets {a, b, c, v} with a < b < c are fixed;
+    the mask rows of each are fetched once per position.  The tables and the
+    twin swaps keep each other's vectors, so this lists exactly the sorted
+    member of every orbit of the admissible vectors.
     """
     labels = filt.effective_labels()
     n = parent.rank
-    table = _triple_table(filt, min(n + 1, 4))
+    pl = parent.labels
+    triples = _triple_table(filt, min(n + 1, 4))
+    quads = _subset_table(filt, min(n + 1, 5), 4)
     index = {m: x for x, m in enumerate(labels)}
     everything = (1 << len(labels)) - 1
     vecs: list[tuple] = [()]
-    for b in range(n):
-        rows = [table[index[parent.labels[a][b]]] for a in range(b)] if table else []
-        twin = max((a for a in range(b) if twin_id[a] == twin_id[b]), default=None)
+    for c in range(n):
+        rows = [triples[index[pl[a][c]]] for a in range(c)] if triples else []
+        fours = []
+        if quads:
+            for a, b in combinations(range(c), 2):
+                row = quads((pl[a][b], pl[a][c], pl[b][c]))
+                if row is not None:
+                    fours.append((a, b, row))
+        twin = max((a for a in range(c) if twin_id[a] == twin_id[c]), default=None)
         nxt = []
         for vec in vecs:
             allowed = everything
             for row, p in zip(rows, vec):
                 allowed &= row[p]
+            for a, b, row in fours:
+                allowed &= row[vec[a]][vec[b]]
             if twin is not None:
                 allowed &= everything << vec[twin]
             nxt.extend(vec + (q,) for q in range(len(labels)) if allowed >> q & 1)

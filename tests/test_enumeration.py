@@ -31,13 +31,14 @@ from coxtools import (
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
 from coxtools import enumeration
-from coxtools.classify import _adjacency
+from coxtools.classify import _adjacency, classify
 from coxtools.enumeration import (
     _child,
     _deletion_code,
     _enc_label,
     _expand_parent,
     _level_search,
+    _subset_table,
     _triple_table,
     _twins,
 )
@@ -658,9 +659,9 @@ def test_expand_parent_gives_each_class_to_one_parent():
 
 
 @pytest.mark.parametrize("connected_only", [True, False])
-def test_facets_are_classified_only_from_child_rank_five(connected_only, monkeypatch):
-    # below rank 5 every proper subset through the new vertex is a vertex, a
-    # pair or a triple the rank-4 triple table has already screened
+def test_facets_are_classified_only_from_child_rank_six(connected_only, monkeypatch):
+    # below rank 6 every proper subset through the new vertex is a vertex, a
+    # pair, a triple or a 4-subset the subset tables have already screened
     ranks = []
     real = enumeration._types_through_last
 
@@ -671,7 +672,7 @@ def test_facets_are_classified_only_from_child_rank_five(connected_only, monkeyp
     monkeypatch.setattr(enumeration, "_types_through_last", recording)
     filt = EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=connected_only, **_PROPER)
     list(iter_levels(filt, 6))
-    assert ranks and min(ranks) == 5
+    assert ranks and min(ranks) == 6
 
 
 def twin_swap_orbits(parent: CoxeterSystem, vecs) -> list[set]:
@@ -767,6 +768,90 @@ def test_triple_table_is_skipped_when_it_rejects_nothing():
     assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 3) is None
     assert _triple_table(EnumFilter(label_set=ALL_LABELS), 4) is None
     assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3), 3)
+
+
+# (filter flags, kinds of a triple through v, kinds of a 4-subset through v
+# or None for no table) in a child of rank 5, where every 4-subset is proper
+SUBSET_RULES = [
+    (_PROPER, {"spherical", "affine"}, {"spherical", "affine"}),
+    (dict(k_spherical=3), {"spherical"}, None),
+    (dict(k_spherical=4), {"spherical"}, {"spherical"}),
+]
+
+
+def subset_system(parent: tuple, vec: tuple) -> CoxeterSystem:
+    """The system on u_1 < ... < u_{s-1} < v with the labels parent among the
+    u's, in pair order, and vec from them to v."""
+    s = len(vec) + 1
+    mat = [[1] * s for _ in range(s)]
+    for (i, j), m in zip(combinations(range(s - 1), 2), parent):
+        mat[i][j] = mat[j][i] = m
+    for i, m in enumerate(vec):
+        mat[i][s - 1] = mat[s - 1][i] = m
+    return CoxeterSystem.from_rows(mat)
+
+
+@pytest.mark.parametrize("rule", range(len(SUBSET_RULES)))
+@pytest.mark.parametrize(
+    "label_set, sampled",
+    [({2, 3, 4}, None), (_FIVE_INF, None), ({2, 3, 4, 5, 6, INFINITY}, 12)],
+    ids=["234", "235inf", "23456inf"],
+)
+def test_subset_tables_match_classify(label_set, sampled, rule):
+    flags, *kinds_by_size = SUBSET_RULES[rule]
+    filt = EnumFilter(label_set=frozenset(label_set), **flags)
+    labels = filt.effective_labels()
+    rng = random.Random(rule)
+    for size, kinds in zip((3, 4), kinds_by_size):
+        table = _subset_table(filt, 5, size)
+        if kinds is None:
+            assert table is None
+            continue
+        keys = list(product(labels, repeat=math.comb(size - 1, 2)))
+        if sampled and sampled < len(keys):
+            keys = rng.sample(keys, sampled)
+        for parent in keys:
+            masks = table(parent)
+            for col in product(range(len(labels)), repeat=size - 1):
+                sub = subset_system(parent, tuple(labels[x] for x in col))
+                passes = all(t.kind in kinds for _, t in classify(sub))
+                if masks is None:
+                    assert passes, (size, parent, col)
+                    continue
+                entry = masks[col[0]] if size == 3 else masks[col[0]][col[1]]
+                assert bool(entry >> col[-1] & 1) == passes, (size, parent, col)
+
+
+def test_subset_tables_start_where_the_subset_is_proper():
+    proper = EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER)
+    assert _subset_table(proper, 4, 4) is None and _subset_table(proper, 5, 4)
+    k4 = EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=4)
+    assert _subset_table(k4, 3, 4) is None and _subset_table(k4, 4, 4)
+    k3 = EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3)
+    assert _subset_table(k3, 11, 4) is None
+
+
+@pytest.mark.parametrize(
+    "scope",
+    [
+        i
+        for i, (filt, max_rank) in enumerate(EXPANSION_SCOPES)
+        if filt.all_proper_parabolics_spherical_or_affine and max_rank >= 4
+    ],
+)
+def test_label_vectors_keep_every_admitted_vector(scope):
+    # without twin pruning, the tables drop only vectors whose child fails
+    filt = EXPANSION_SCOPES[scope][0]
+    for parent in oracle_parents(scope):
+        if not 4 <= parent.rank <= 6:
+            continue
+        kept = set(enumeration._label_vectors(parent, filt, list(range(parent.rank))))
+        rows = [list(row) for row in parent.labels]
+        for vec in product(filt.effective_labels(), repeat=parent.rank):
+            child = CoxeterSystem.from_rows(
+                [row + [m] for row, m in zip(rows, vec)] + [list(vec) + [1]]
+            )
+            assert vec in kept or not filt.admits(child), (parent, vec)
 
 
 def test_expansion_scopes_reach_their_largest_parents():
