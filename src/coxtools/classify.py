@@ -535,13 +535,13 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
     A single vertex is spherical, and a pair is exactly when its label is
     finite, so an inf label decides every k above 1 and its absence k = 2.
     Above that a subset is spherical unless it holds a minimal infinite
-    subset, so the walk decides.
+    subset, so the walk decides, walked only up to size k.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if any(INFINITY in row for row in system.labels):
         return k == 1
-    return k <= 2 or all(len(verts) > k for verts, _, _ in _closure(system).minimal)
+    return k <= 2 or all(len(verts) > k for verts, _, _ in _closure(system).walk(k).minimal)
 
 
 class _SphericalClosure:
@@ -562,7 +562,9 @@ class _SphericalClosure:
     connected.  Such a candidate is spherical or minimal infinite: the label
     test decides on at most three vertices, and the tables above that.
 
-    known maps every connected spherical set to its diagram neighbours, in
+    The walk resumes: walk(upto) stops once minimal is complete up to size
+    upto, and a later walk() goes on from that level.  known maps every
+    connected spherical set of a walked level to its diagram neighbours, in
     walk order.  minimal lists the minimal infinite subsets in (size, lex)
     order as (vertices, mask, type), with type None until the walk or affine
     classifies the subset; affine stores every type it classifies, so no
@@ -572,14 +574,19 @@ class _SphericalClosure:
     """
 
     def __init__(self, system: CoxeterSystem):
-        labels = system.labels
-        self.labels = labels
-        self.adj = adj = _adjacency(labels)
+        self.labels = system.labels
+        self.adj = _adjacency(self.labels)
         self.minimal: list[tuple[tuple[int, ...], int, Optional[TypeClass]]] = []
         self.known: dict[int, int] = {}
-        known = self.known
-        level = [((v,), 1 << v, around) for v, around in enumerate(adj)]
-        while level:
+        # the next level to walk, of connected spherical sets of size self.size
+        self.level = [((v,), 1 << v, around) for v, around in enumerate(self.adj)]
+        self.size = 1
+
+    def walk(self, upto: Optional[int] = None) -> _SphericalClosure:
+        """Walk on until minimal holds every minimal infinite subset of size
+        <= upto (all of them when upto is None), and return self."""
+        labels, adj, known = self.labels, self.adj, self.known
+        while (level := self.level) and (upto is None or self.size < upto):
             known.update((mask, around) for _, mask, around in level)
             nxt, found = [], []
             for verts, mask, around in level:
@@ -610,7 +617,9 @@ class _SphericalClosure:
                             found.append((tuple(sorted(cverts)), cand, t))
             found.sort()
             self.minimal.extend(found)
-            level = nxt
+            self.level = nxt
+            self.size += 1
+        return self
 
     @cached_property
     def max_rank(self) -> int:
@@ -630,7 +639,7 @@ class _SphericalClosure:
         recurse, on at least two vertices fewer, so the depth stays within
         half the rank.
         """
-        adj, known = self.adj, self.known
+        adj, known = self.walk().adj, self.known
         through: list[list[tuple[int, int, int]]] = [[] for _ in adj]
         for mask, around in reversed(known.items()):
             through[(mask & -mask).bit_length() - 1].append(
@@ -683,7 +692,7 @@ class _SphericalClosure:
         Every irreducible affine diagram is minimal infinite, so these are
         the affine members of minimal.
         """
-        for i, (verts, mask, t) in enumerate(self.minimal):
+        for i, (verts, mask, t) in enumerate(self.walk().minimal):
             if len(verts) < start:
                 continue
             if t is None:
@@ -695,7 +704,8 @@ class _SphericalClosure:
 
 # The only way to get a walk.  One entry suffices because scans of one diagram
 # come in a row: is_k_spherical, is_hyperbolic and has_affine_parabolic in
-# check_affine_criterion, or is_hyperbolic then kazhdan_threshold.
+# check_affine_criterion, or is_hyperbolic then kazhdan_threshold.  Each reads
+# it through walk, so a full read resumes where is_k_spherical stopped.
 _closure = lru_cache(maxsize=1)(_SphericalClosure)
 
 
@@ -723,7 +733,7 @@ def minimal_infinite_subsets(system: CoxeterSystem) -> list[tuple[int, ...]]:
     Every infinite subset contains one of these, and they are pairwise
     incomparable; returned in (size, lex) order.
     """
-    return [verts for verts, _, _ in _closure(system).minimal]
+    return [verts for verts, _, _ in _closure(system).walk().minimal]
 
 
 # -- Kazhdan threshold ----------------------------------------------------------

@@ -23,9 +23,9 @@ A parent is admitted and extendable, so its children are screened only
 through the new vertex v.  The label vector of v is assigned depth-first, and
 a prefix is dropped as soon as it fixes a triple {a, b, v} or a 4-subset
 {a, b, c, v} that the filter's subset tables reject.  The tables are built by
-classify on 3- and 4-vertex systems on first use: the triple table whole, the
-4-subset table one labelling of {a, b, c} at a time, classifying a 4-subset
-only when its four triples pass.  Under the proper-parabolic rule, they
+classify on 3- and 4-vertex systems on first use, one labelling of the
+vertices other than v at a time, classifying a 4-subset only when its four
+triples pass.  Under the proper-parabolic rule, they
 settle every facet of a child up to rank 5, so only a surviving child of
 rank 6 and up needs the component through v of each facet classified; every
 other component of a facet lies in the parent.  Under k_spherical 3 or 4
@@ -307,8 +307,8 @@ class EnumFilter:
 
         Every subset without the new vertex passed in the parent, so only the
         subsets through it are tested, and the child is built only if some
-        are.  Under k_spherical 3 or 4 from rank 3 on, the triple table and
-        the 4-subset table have seen them all.  Under the proper-parabolic
+        are.  Under k_spherical 3 or 4 from rank 3 on, the size-3 and size-4
+        subset tables have seen them all.  Under the proper-parabolic
         rule, only the component through the new vertex of each facet can
         fail, and only from rank 6 on: a facet of a smaller child has at most
         four vertices, so that component lies in a subset through the new
@@ -393,7 +393,7 @@ def _kind_table(labels: tuple, kinds: frozenset, size: int) -> Callable:
     when that labelling passes; the function gives None when every labelling
     passes.  Each key is built on first use.  Both sets of kinds are
     hereditary, so a 4-subset is classified only when its four triples pass
-    the triple table.
+    the size-3 table.
     """
     everything = (1 << len(labels)) - 1
     index = {m: x for x, m in enumerate(labels)}
@@ -439,23 +439,10 @@ def _kind_table(labels: tuple, kinds: frozenset, size: int) -> Callable:
     return table
 
 
-@cache
-def _triple_table(filt: EnumFilter, rank: int) -> Optional[list[list[int]]]:
-    """The triples {a, b, v} a child of the given rank may induce, as the
-    size-3 _subset_table indexed [x][p] for m(a, b) = L[x], with
-    L = filt.effective_labels(), or None when it may induce every one."""
-    table = _subset_table(filt, rank, 3)
-    labels = filt.effective_labels()
-    rows = [table((m,)) for m in labels] if table else []
-    if not any(rows):
-        return None
-    return [row or [(1 << len(labels)) - 1] * len(labels) for row in rows]
-
-
 def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> list[tuple]:
     """The label vectors of a new vertex v, one per orbit of the swaps of the
-    parent twins twin_id, with no triple {a, b, v} that _triple_table rejects
-    and no 4-subset {a, b, c, v} that the size-4 _subset_table rejects.
+    parent twins twin_id, with no triple {a, b, v} or 4-subset {a, b, c, v}
+    that the size-3 or size-4 _subset_table rejects.
 
     They are assigned depth-first, and a prefix is dropped as soon as it
     fixes a rejected subset or gives a vertex a label before (in
@@ -469,13 +456,13 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> li
     labels = filt.effective_labels()
     n = parent.rank
     pl = parent.labels
-    triples = _triple_table(filt, min(n + 1, 4))
+    triples = _subset_table(filt, min(n + 1, 4), 3)
     quads = _subset_table(filt, min(n + 1, 5), 4)
-    index = {m: x for x, m in enumerate(labels)}
     everything = (1 << len(labels)) - 1
     vecs: list[tuple] = [()]
     for c in range(n):
-        rows = [triples[index[pl[a][c]]] for a in range(c)] if triples else []
+        rows = (triples((pl[a][c],)) for a in range(c)) if triples else ()
+        threes = [(a, row) for a, row in enumerate(rows) if row is not None]
         fours = []
         if quads:
             for a, b in combinations(range(c), 2):
@@ -486,8 +473,8 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> li
         nxt = []
         for vec in vecs:
             allowed = everything
-            for row, p in zip(rows, vec):
-                allowed &= row[p]
+            for a, row in threes:
+                allowed &= row[vec[a]]
             for a, b, row in fours:
                 allowed &= row[vec[a]][vec[b]]
             if twin is not None:

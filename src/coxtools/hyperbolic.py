@@ -62,7 +62,7 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     (total size, lex) order is returned, pairs before affine subsets, so the
     output is schedule-independent.
     """
-    closure = _closure(system)
+    closure = _closure(system).walk()
     adj = closure.adj
     minimal = closure.minimal
     best: Optional[tuple] = None

@@ -766,8 +766,10 @@ _CACHED_SCANS = {
     "is_hyperbolic": is_hyperbolic,
     "check_affine_criterion": check_affine_criterion,
     "kazhdan_threshold": lambda s: kazhdan_threshold(s) if s.rank else None,
+    "is_k_spherical_2": lambda s: is_k_spherical(s, 2),
     "is_k_spherical_3": lambda s: is_k_spherical(s, 3),
     "is_k_spherical_4": lambda s: is_k_spherical(s, 4),
+    "is_k_spherical_5": lambda s: is_k_spherical(s, 5),
 }
 
 
@@ -967,6 +969,19 @@ def test_scans_do_not_build_the_packing_tables():
     assert "max_rank" not in vars(closure)
     assert max_spherical_rank(s) == 2 + 1 + 3
     assert "max_rank" in vars(closure)
+
+
+def test_bounded_read_stays_bounded_and_is_resumed():
+    # A30 has a walk of 30 levels; the triangle of ~A2 is minimal infinite
+    s = _shifted([type_A(30), affine_A(2)])
+    classify_module._closure.cache_clear()
+    assert not is_k_spherical(s, 3)
+    closure = classify_module._closure(s)
+    assert max(mask.bit_count() for mask in closure.known) <= 3
+    full = classify_module._SphericalClosure(s).walk()
+    assert minimal_infinite_subsets(s) == [verts for verts, _, _ in full.minimal]
+    assert classify_module._closure(s) is closure
+    assert closure.known == full.known
 
 
 def test_packing_of_an_all_inf_complete_diagram_at_the_rank_limit():

@@ -39,7 +39,6 @@ from coxtools.enumeration import (
     _expand_parent,
     _level_search,
     _subset_table,
-    _triple_table,
     _twins,
 )
 from conftest import coxeter_systems, permuted
@@ -760,14 +759,20 @@ def test_child_state_is_derived_from_the_parent(drawn):
     assert twins() == _twins(encode(child))
 
 
+def _triples_reject(filt: EnumFilter, rank: int) -> bool:
+    """Whether the size-3 _subset_table rejects any triple through v."""
+    table = _subset_table(filt, rank, 3)
+    return table is not None and any(table((m,)) for m in filt.effective_labels())
+
+
 def test_triple_table_is_skipped_when_it_rejects_nothing():
     # a triangle with a 4 is indefinite; no {2,3} triple is
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 4)
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3}), **_PROPER), 4) is None
+    assert _triples_reject(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 4)
+    assert not _triples_reject(EnumFilter(label_set=frozenset({2, 3}), **_PROPER), 4)
     # proper subdiagrams have no rule below rank 4, connectivity none at all
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 3) is None
-    assert _triple_table(EnumFilter(label_set=ALL_LABELS), 4) is None
-    assert _triple_table(EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3), 3)
+    assert not _triples_reject(EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 3)
+    assert not _triples_reject(EnumFilter(label_set=ALL_LABELS), 4)
+    assert _triples_reject(EnumFilter(label_set=frozenset({2, 3, 4}), k_spherical=3), 3)
 
 
 # (filter flags, kinds of a triple through v, kinds of a 4-subset through v
