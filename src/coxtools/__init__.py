@@ -26,7 +26,6 @@ from .classify import (
     UndecidedSignature,
     classify,
     classify_irreducible,
-    gram_matrix,
     has_affine_parabolic,
     is_k_spherical,
     is_spherical,
@@ -100,7 +99,6 @@ __all__ = [
     "UndecidedSignature",
     "classify",
     "classify_irreducible",
-    "gram_matrix",
     "signature",
     "is_spherical",
     "is_k_spherical",

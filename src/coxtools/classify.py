@@ -6,8 +6,9 @@ Two independent engines:
   cycles, forks with prescribed label patterns), and
 * the exact signature of the cosine Gram matrix, from one fraction-free
   elimination of 2B over fixed-point integer enclosures, where an
-  algebraic-integer gap certifies every zero; for labels 2, 3 and inf the
-  enclosures are exact integers.
+  algebraic-integer gap certifies every zero.  2B is an integer for labels
+  2, 3 and inf; every other 2^p * -2cos(pi/m) is enclosed by its floor and
+  ceiling, in Python ints, by Machin's series for pi and Taylor's for cos.
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt, lcm, log2
 from typing import Iterator, Optional
 
@@ -92,44 +93,59 @@ class Signature:
 
 class UndecidedSignature(Exception):
     """Never raised: the fixed-point engine decides every sign.  Kept because
-    callers catch it."""
-
-
-# -- Gram matrix and signature ------------------------------------------------
-
-
-def gram_matrix(system: CoxeterSystem):
-    """Gram matrix of the cosine form B(s,t) = -cos(pi/m(s,t)), B(s,s) = 1.
-
-    Entries are mpmath interval enclosures at the current mpmath.iv precision,
-    exact where they are rational; signature does not use them.
-    """
-    from mpmath import iv  # only here and in _enclosure, to keep it off start-up
-
-    exact = {m: iv.mpf(v) for m, v in _EXACT_ENTRIES.items()}
-    return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in system.labels]
-
-
-# -cos(pi/m) where it is rational, so zeros stay exact; label 1 is the diagonal
-_EXACT_ENTRIES = {1: 1, 2: 0, 3: -0.5, INFINITY: -1}
+    perfbench's queries workload catches it and its self-test raises it; it
+    goes with the benchmark change that drops both."""
 
 
 # -- the signature engine: 2B on integer enclosures scaled by 2^p ---------------
 
+_TWICE_B = {1: 2, 2: 0, 3: -1, INFINITY: -2}  # 2B where it is an integer; 1 is the diagonal
+
+
+@cache
+def _pi(w: int) -> tuple[int, int]:
+    """lo < 2^w pi < hi by Machin's 16 atan(1/5) - 4 atan(1/239).  The n-th term
+    2^w / ((2n+1) x^(2n+1)) of 2^w atan(1/x), floored by chained floor-divisions
+    (which floor exactly), is under 1 low, and the first to floor to 0 bounds
+    the alternating tail by 1, so n summed terms err by under n + 1."""
+    c = e = 0
+    for x, f in ((5, 16), (239, -4)):
+        power, n = (1 << w) // x, 0
+        while term := power // (2 * n + 1):
+            c, power, n = c + (-1) ** n * f * term, power // (x * x), n + 1
+        e += abs(f) * (n + 1)
+    return c - e, c + e
+
 
 @cache
 def _enclosure(m, p: int) -> tuple[int, int]:
-    """Floor and ceiling of 2^p * -2cos(pi/m): by isqrt for -sqrt2 and -sqrt3
-    (m = 4, 6), else from exact mpmath endpoints."""
-    if m == 4 or m == 6:
-        r = isqrt((m // 2) << 2 * p)  # irrational, so floor < 2^p sqrt(m/2)
-        return -r - 1, -r
-    from mpmath.libmp import from_int, mpf_shift, to_int
-    from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_pi
+    """Floor and ceiling of 2^p * -2cos(pi/m) (2 apart for the rational m = 2, 3),
+    from integer series at w = p + 24 bits, doubling w until the ends are 1 apart,
+    as some w does for m > 3, where the value is irrational.
 
-    wp = p + 16
-    lo, hi = mpi_cos(mpi_div(mpi_pi(wp), (from_int(m),) * 2, wp), wp)
-    return -to_int(mpf_shift(hi, p + 1), "c"), -to_int(mpf_shift(lo, p + 1), "f")
+    pi comes at W, a power of 2 above w + 16 - log2 m: lo < 2^W pi < hi, so
+    a = floor(2^w lo / (m 2^W)) <= 2^w pi/m <= b = ceil(2^w hi / (m 2^W)).  Once
+    k halvings take t = a/2^w near 2^-isqrt(w)/2, c sums Taylor's series of 2^v
+    cos(t/2^k), v = w + 2k, from x2 = a*a >> w, under 1 low, each term floored
+    from the last: each is under 2 low and the first to floor to 0 bounds the
+    tail by 2, so n terms err by under e = 2(n + 1).  k steps cos 2s = 2cos^2 s - 1
+    reach cos t, each taking e to under 4e + 2 as e^2 < 2^(v-1).  cos is 1-Lipschitz
+    and decreasing on [0, pi]: c - e - 4^k (b - a) < 2^v cos(pi/m) < c + e.
+    """
+    for w in (p + 24 << j for j in count()):
+        lo, hi = _pi(W := 1 << max(1, w + 16 - m.bit_length()).bit_length())
+        a, b = (lo << w >> W) // m, -((-hi << w >> W) // m)
+        k = max(0, a.bit_length() - w + isqrt(w) // 2)
+        v = w + 2 * k
+        x2, term, c, n, e = a * a >> w, 1 << v, 0, 0, 2
+        while term:
+            c, n, e = c + (-1) ** n * term, n + 1, e + 2
+            term = (term * x2 >> v) // (2 * n * (2 * n - 1))
+        for _ in range(k):
+            c, e = (c * c >> v - 1) - (1 << v), 4 * e + 2
+        lo, hi = -2 * (c + e) >> v - p, -(2 * (c - e - (b - a << 2 * k)) >> v - p)
+        if hi - lo < 2 or m < 4:
+            return lo, hi
 
 
 @cache
@@ -229,21 +245,22 @@ def _inertia(m, p: int, divide) -> Optional[tuple[int, int, int]]:
 
 def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
     """Inertia of 2B by _inertia on enclosures (lo, hi, mask):
-    lo <= 2^p * x <= hi, and mask the irrational labels x was computed from.
+    lo <= 2^p * x <= hi, and mask the irrational labels x was computed from;
+    an entry of 2B is the point _TWICE_B[m] << p or _enclosure(m, p).
 
     When every label is 2, 3 or inf, 2B is an integer matrix: p is 0, every
     enclosure is a point and the elimination is integer Bareiss, which never
     leaves a sign open.  Otherwise p starts at 64 and doubles while a sign
     stays open.  This terminates: every active entry is a minor of a
     unimodular congruent of 2B, so an algebraic integer of Q(cos(pi/L)), L the
-    lcm of its labels, of degree D <= phi(2L)/2.  The conjugates of an entry of 2B are at most 2 in size,
-    so by Hadamard's bound and at most n row/column additions, each adding
-    at most 4 minors, those of an entry are at most H = (2 sqrt(n))^n * 4^n.
+    lcm of its labels, of degree D <= phi(2L)/2.  The conjugates of an entry of 2B
+    are at most 2 in size, so by Hadamard's bound and at most n row/column additions,
+    each adding at most 4 minors, those of an entry are at most H = (2 sqrt(n))^n * 4^n.
     A nonzero entry has an integer norm, so |x| >= H^-(D-1), and an
     enclosure strictly inside that gap is an exact 0 (Yap, CGTA 7, 1997).
     """
     n = system.rank
-    irrational = sorted(set().union(*system.labels) - _EXACT_ENTRIES.keys())
+    irrational = sorted(set().union(*system.labels) - _TWICE_B.keys())
     hbits = n * (64 * n).bit_length()  # at least 2 log2 H
     gap_bits: dict[int, int] = {}
     p = 64 if irrational else 0
@@ -263,7 +280,7 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
         return (lo, hi, u)
 
     while True:
-        table = {m: (int(2 * v) << p, int(2 * v) << p, 0) for m, v in _EXACT_ENTRIES.items()}
+        table = {m: (v << p, v << p, 0) for m, v in _TWICE_B.items()}
         table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
         mat = [[table[m] for m in row] for row in system.labels]
         if (out := _inertia(mat, p, divide)) is not None:

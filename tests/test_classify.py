@@ -66,7 +66,7 @@ from coxtools.classify import (
     _inertia,
     _inertia_fixed,
     _least_prime_power,
-    gram_matrix,
+    _pi,
 )
 from coxtools.cli import MAX_RANK
 from coxtools.enumeration import canonical_code
@@ -444,16 +444,34 @@ def test_tiny_nonzero_minor_is_not_snapped(m):
     assert _inertia_fixed(type_I2(m)) == (2, 0, 0)
 
 
+@pytest.mark.parametrize("w", [0, 1, 24, 88, 1000, 8216])
+def test_machin_series_brackets_pi(w):
+    # the 24 guard bits of _enclosure would hide a wrong error bound here
+    lo, hi = _pi(w)
+    with mpmath.workprec(w + 64):
+        assert lo < mpmath.pi * 2**w < hi
+
+
 @pytest.mark.parametrize("p", [64, 100, 128, 256, 512, 1000, 1024, 2048, 4096, 8192])
 def test_enclosures_contain_cosine_within_four_ulp(p):
-    # enclosures are converted from exact mpf endpoints by floor and ceiling,
-    # never through a float or a 53-bit mpf
+    # integer series against mpmath 64 bits finer; the huge labels run the
+    # cosine series at a tiny argument, where each term is about m^2 below the last
     with mpmath.workprec(p + 64):
-        for m in range(2, 201):
+        for m in [*range(2, 201), 2**40, 3**25, 2**61 - 1]:
             lo, hi = _enclosure(m, p)
             want = -2 * mpmath.cos(mpmath.pi / m) * 2**p
             assert lo <= want <= hi
             assert hi - lo <= 4
+
+
+@pytest.mark.parametrize("p", [0, 1, 64, 1000])
+def test_irrational_enclosures_are_floor_and_ceiling(p):
+    # at w = p + 24 bits, the huge labels at p <= 64 lie within 2^-24 of
+    # -2^(p+1) and straddle it, so they take further passes at w = 2(p + 24), ...
+    with mpmath.workprec(p + 64):
+        for m in [*range(4, 201), 2**40, 3**25, 2**61 - 1]:
+            lo, hi = _enclosure(m, p)
+            assert lo <= -2 * mpmath.cos(mpmath.pi / m) * 2**p <= hi == lo + 1
 
 
 def test_interval_engine_row_column_addition():
@@ -1097,6 +1115,14 @@ def _interval_pin_systems(count=1500, seed=5):
         yield CoxeterSystem.from_edges(n, edges)
 
 
+def _gram_matrix(system):
+    """B(s, t) = -cos(pi/m(s, t)) as mpmath intervals at the current iv
+    precision, exact where rational (label 1 is the diagonal)."""
+    iv = mpmath.iv
+    exact = {m: iv.mpf(v) for m, v in {1: 1, 2: 0, 3: -0.5, INFINITY: -1}.items()}
+    return [[exact[m] if m in exact else -iv.cos(iv.pi / m) for m in row] for row in system.labels]
+
+
 def _interval_outputs(s):
     """Fixed-point signature and the exact mpmath Gram endpoints at 64 bits."""
     sig = list(_inertia_fixed(s))
@@ -1104,7 +1130,7 @@ def _interval_outputs(s):
     saved = iv.prec
     iv.prec = 64
     try:
-        gram = gram_matrix(s)
+        gram = _gram_matrix(s)
     finally:
         iv.prec = saved
     # _mpi_ holds both endpoints as exact (sign, mantissa, exponent, bits) tuples

@@ -1,13 +1,12 @@
-"""What a fresh interpreter loads: the query subcommands stay off mpmath and
-the campaign modules, crystallographic signatures stay off mpmath, and the
-lazy names and imports still work.
+"""What a fresh interpreter loads: the query subcommands stay off the
+campaign modules, no subcommand and no signature needs mpmath, and the lazy
+names and imports still work.
 
 The test process itself has loaded everything, so these checks run in
 subprocesses.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from coxtools import INFINITY, standard_system
+from coxtools import signature, standard_system
 from coxtools.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY = ("mpmath", "multiprocessing", "coxtools.enumeration", "coxtools.experiments")
+HEAVY = ("multiprocessing", "coxtools.enumeration", "coxtools.experiments")
 
 # `python -m coxtools ARGS`, then the HEAVY modules it loaded as JSON on stderr
 CLI = f"""
@@ -94,7 +93,7 @@ def answer(payload):
         ),
     ],
 )
-def test_queries_load_no_campaign_modules_or_mpmath(command, diagram, want):
+def test_queries_load_no_campaign_modules(command, diagram, want):
     code, out, heavy = cold_cli([command, "--stdin", "--format", "json"], f"type: {diagram}\n")
     assert code == 0
     assert heavy == []
@@ -105,7 +104,6 @@ def test_queries_load_no_campaign_modules_or_mpmath(command, diagram, want):
     "args",
     [
         ["verify", "--campaign", "engine-agreement", "--max-rank", "3"],
-        # the enclosures of -sqrt2 and -sqrt3 (labels 4 and 6) come from isqrt
         ["verify", "--campaign", "engine-agreement", "--labels", "2,3,4,6", "--max-rank", "3"],
         ["enumerate", "--max-rank", "3"],
     ],
@@ -114,20 +112,58 @@ def test_queries_load_no_campaign_modules_or_mpmath(command, diagram, want):
 def test_campaign_commands_run_cold(args, capsys):
     code, out, heavy = cold_cli(args)
     assert code == 0
-    assert "coxtools.enumeration" in heavy and "mpmath" not in heavy
+    assert "coxtools.enumeration" in heavy
     assert main(args) == 0
     assert out == capsys.readouterr().out
+
+
+# once sys.modules maps mpmath to None, any import of it raises ImportError
+BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None
+from coxtools import signature, standard_system
+from coxtools.cli import main
+
+outputs = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(args)
+    outputs.append([code, out.getvalue()])
+sigs = [signature(standard_system(name)).as_tuple for name in json.loads(sys.argv[2])]
+print(json.dumps([outputs, sigs]))
+"""
+
+SIGNED = ["H3", "H4", "I2(7)", f"I2({2**40})"]
+
+
+def test_no_command_or_signature_needs_mpmath(tmp_path, capsys):
+    diagram = tmp_path / "diagram.txt"
+    diagram.write_text("rank: 4\nedge: 0 1 5\nedge: 1 2 7\nedge: 2 3 inf\nedge: 0 3 3\n")
+    calls = [
+        [command, "--input", str(diagram), "--format", "json"]
+        for command in ("classify", "hyperbolic", "parabolics", "threshold")
+    ]
+    # text, because the JSON report also carries its wall time
+    calls.append(["verify", "--campaign", "engine-agreement", "--labels", "2,3,5", "--max-rank", "4"])
+    proc = fresh(BLOCKED, json.dumps(calls), json.dumps(SIGNED))
+    assert proc.returncode == 0, proc.stderr
+    outputs, sigs = json.loads(proc.stdout)
+    want = []
+    for args in calls:
+        code = main(args)
+        want.append([code, capsys.readouterr().out])
+    assert outputs == want
+    assert [code for code, _ in outputs] == [0] * len(calls)
+    assert sigs == [list(signature(standard_system(name)).as_tuple) for name in SIGNED]
 
 
 FIRST_CALLS = """
 import json, sys
 import coxtools
-from coxtools import gram_matrix, signature, standard_system
+from coxtools import signature, standard_system
 
-before = [m for m in ("mpmath", "coxtools.enumeration", "coxtools.experiments") if m in sys.modules]
+before = [m for m in ("coxtools.enumeration", "coxtools.experiments") if m in sys.modules]
 h4 = signature(standard_system("H4")).as_tuple
-gram = {name: [[(float(x.a), float(x.b)) for x in row] for row in gram_matrix(standard_system(name))]
-        for name in ("H3", "F4", "~G2")}
 listed = sorted(set(coxtools.__all__) - set(dir(coxtools)))
 star = {}
 exec("from coxtools import *", star)
@@ -138,7 +174,7 @@ try:
     missing = "resolved"
 except AttributeError as exc:
     missing = str(exc)
-print(json.dumps(dict(before=before, h4=h4, gram=gram, listed=listed, unbound=unbound,
+print(json.dumps(dict(before=before, h4=h4, listed=listed, unbound=unbound,
                       unresolved=unresolved, missing=missing)))
 """
 
@@ -149,15 +185,6 @@ def test_first_calls_in_a_fresh_interpreter():
     got = json.loads(proc.stdout)
     assert got["before"] == []
     assert got["h4"] == [4, 0, 0]
-    # B(s, t) = -cos(pi / m(s, t)), exact where rational, else enclosed
-    # tightly, as intervals for crystallographic systems too
-    exact = {1: 1.0, 2: 0.0, 3: -0.5, INFINITY: -1.0}
-    assert sorted(got["gram"]) == ["F4", "H3", "~G2"]
-    for name, gram in got["gram"].items():
-        for row, labels in zip(gram, standard_system(name).labels):
-            for (lo, hi), m in zip(row, labels):
-                want = exact.get(m, -math.cos(math.pi / m))
-                assert lo <= want <= hi and hi - lo < 1e-12
     assert got["listed"] == []
     assert got["unbound"] == []
     assert got["unresolved"] == []
