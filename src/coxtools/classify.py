@@ -3,7 +3,7 @@
 Two independent engines:
 
 * a shape recognizer against the standard classification tables (paths,
-  cycles, forks with prescribed label patterns), and
+  cycles, forks with prescribed label patterns), typed from masks, not slices, and
 * the exact signature of the cosine Gram matrix, from one fraction-free
   elimination of 2B over fixed-point integer enclosures, where an
   algebraic-integer gap certifies every zero.  2B is an integer for labels
@@ -28,7 +28,6 @@ from .core import (
     CoxeterSystem,
     _slice,
     components,
-    is_connected,
     is_infinite_label,
 )
 
@@ -124,28 +123,36 @@ def _enclosure(m, p: int) -> tuple[int, int]:
     as some w does for m > 3, where the value is irrational.
 
     pi comes at W, a power of 2 above w + 16 - log2 m: lo < 2^W pi < hi, so
-    a = floor(2^w lo / (m 2^W)) <= 2^w pi/m <= b = ceil(2^w hi / (m 2^W)).  Once
-    k halvings take t = a/2^w near 2^-isqrt(w)/2, c sums Taylor's series of 2^v
-    cos(t/2^k), v = w + 2k, from x2 = a*a >> w, under 1 low, each term floored
-    from the last: each is under 2 low and the first to floor to 0 bounds the
-    tail by 2, so n terms err by under e = 2(n + 1).  k steps cos 2s = 2cos^2 s - 1
-    reach cos t, each taking e to under 4e + 2 as e^2 < 2^(v-1).  cos is 1-Lipschitz
-    and decreasing on [0, pi]: c - e - 4^k (b - a) < 2^v cos(pi/m) < c + e.
+    a = floor(2^w lo / (m 2^W)) <= 2^w pi/m <= b = ceil(2^w hi / (m 2^W)), and
+    _cos_bound encloses 2^v cos(pi/m).
     """
     for w in (p + 24 << j for j in count()):
         lo, hi = _pi(W := 1 << max(1, w + 16 - m.bit_length()).bit_length())
-        a, b = (lo << w >> W) // m, -((-hi << w >> W) // m)
-        k = max(0, a.bit_length() - w + isqrt(w) // 2)
-        v = w + 2 * k
-        x2, term, c, n, e = a * a >> w, 1 << v, 0, 0, 2
-        while term:
-            c, n, e = c + (-1) ** n * term, n + 1, e + 2
-            term = (term * x2 >> v) // (2 * n * (2 * n - 1))
-        for _ in range(k):
-            c, e = (c * c >> v - 1) - (1 << v), 4 * e + 2
-        lo, hi = -2 * (c + e) >> v - p, -(2 * (c - e - (b - a << 2 * k)) >> v - p)
+        c_lo, c_hi, v = _cos_bound((lo << w >> W) // m, -((-hi << w >> W) // m), w)
+        lo, hi = -2 * c_hi >> v - p, -(2 * c_lo >> v - p)
         if hi - lo < 2 or m < 4:
             return lo, hi
+
+
+def _cos_bound(a: int, b: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, v) with lo < 2^v cos t < hi for all t in [a, b] / 2^w, 0 <= a <= b <= 2^w pi.
+
+    Once k halvings take t = a/2^w near 2^-isqrt(w)/2, c sums Taylor's series of 2^v
+    cos(t/2^k), v = w + 2k, from x2 = a*a >> w, under 1 low, each term floored from
+    the last: each is under 2 low and the first to floor to 0 bounds the tail by 2,
+    so n terms err by under e = 2(n + 1).  k steps cos 2s = 2cos^2 s - 1 reach cos t,
+    each taking e to under 4e + 2 as e^2 < 2^(v-1).  cos is 1-Lipschitz and
+    decreasing on [0, pi], which widens the low end: lo = c - e - 4^k (b - a), hi = c + e.
+    """
+    k = max(0, a.bit_length() - w + isqrt(w) // 2)
+    v = w + 2 * k
+    x2, term, c, n, e = a * a >> w, 1 << v, 0, 0, 2
+    while term:
+        c, n, e = c + (-1) ** n * term, n + 1, e + 2
+        term = (term * x2 >> v) // (2 * n * (2 * n - 1))
+    for _ in range(k):
+        c, e = (c * c >> v - 1) - (1 << v), 4 * e + 2
+    return c - e - (b - a << 2 * k), c + e, v
 
 
 @cache
@@ -167,22 +174,6 @@ def _field_degree(lcm_: int) -> int:
 
 def _fx_add(x, y):
     return (x[0] + y[0], x[1] + y[1], x[2] | y[2])
-
-
-def _fx_sub(x, y):
-    return (x[0] - y[1], x[1] - y[0], x[2] | y[2])
-
-
-def _fx_mul(x, y):
-    """Exact product of two enclosures, left at scale 2^(2p) for the division."""
-    a, b, u = x
-    c, d, v = y
-    if b <= 0:  # x * y = (-x) * (-y)
-        a, b, c, d = -b, -a, -d, -c
-    if a >= 0:  # the extremes are known; only an x straddling 0 needs all four
-        return (a * c if c >= 0 else b * c, b * d if d >= 0 else a * d, u | v)
-    ps = (a * c, a * d, b * c, b * d)
-    return (min(ps), max(ps), u | v)
 
 
 def _fx_sign(x) -> Optional[int]:
@@ -234,10 +225,26 @@ def _inertia(m, p: int, divide) -> Optional[tuple[int, int, int]]:
             minus += 1
         rest = [k for k in active if k != piv]
         col = m[piv]
+        neg = [(-hi, -lo, u) for lo, hi, u in col]
+        # d x - cx cy over d_prev is |d| x - (s cx) cy over s d_prev, and
+        # (s cx) cy is c (+-cy) with c = +-s cx nonnegative or straddling 0
+        dl, dh, du = d if s > 0 else neg[piv]
+        under = d_prev if s > 0 else (-d_prev[1], -d_prev[0], d_prev[2])
         for ai, x in enumerate(rest):
-            row, cx = m[x], col[x]
+            row, (cl, ch, cu), ys = m[x], col[x] if s > 0 else neg[x], col
+            if ch <= 0:
+                cl, ch, ys = -ch, -cl, neg
+            cu |= du
             for y in rest[ai:]:
-                row[y] = m[y][x] = divide(_fx_sub(_fx_mul(d, row[y]), _fx_mul(cx, col[y])), d_prev)
+                a, b, u = row[y]
+                el, eh, v = ys[y]
+                if a or b or (cl or ch) and (el or eh):  # else both products are the point 0
+                    if cl >= 0:
+                        plo, phi = el * (cl if el >= 0 else ch), eh * (ch if eh >= 0 else cl)
+                    else:
+                        plo, phi = min(cl * eh, ch * el), max(cl * el, ch * eh)
+                    lo, hi = a * (dl if a >= 0 else dh) - phi, b * (dh if b >= 0 else dl) - plo
+                    row[y] = m[y][x] = divide((lo, hi, u | v | cu), under)
         d_prev, s_prev = d, s
         active = rest
     return plus, zero, minus
@@ -386,113 +393,104 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
     Anything matching no table entry is Indefinite; that catch-all is what the
     signature oracle certifies.
     """
-    if system.rank == 0 or not is_connected(system):
+    labels = system.labels
+    adj = _adjacency(labels)
+    everything = (1 << len(adj)) - 1
+    if not adj or _reach(adj, everything, 1) != everything:
         raise ValueError("classify_irreducible needs a nonempty connected diagram")
-    return _classify_connected(system)
+    return _classify_mask(labels, adj, everything)
 
 
-def _classify_connected(system: CoxeterSystem) -> TypeClass:
-    """classify_irreducible for a diagram already known to be nonempty and connected."""
-    n = system.rank
-    if n == 1:
-        return _sph("A1")
-    if n == 2:
-        return _classify_rank2(system.labels[0][1])
-
-    edges = system.edges()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    degrees = [len(a) for a in adj]
-
-    if len(edges) >= n:
-        # connected with >= n edges: a single all-3 cycle is ~A, all else is not
-        if (
-            len(edges) == n
-            and all(d == 2 for d in degrees)
-            and all(m == 3 for _, _, m in edges)
-        ):
-            return _aff(f"~A{n - 1}")
-        return INDEFINITE
-
-    # tree cases
-    maxdeg = max(degrees)
-    if maxdeg >= 4:
-        if (
-            maxdeg == 4
-            and n == 5
-            and sorted(degrees) == [1, 1, 1, 1, 4]
-            and all(m == 3 for _, _, m in edges)
-        ):
-            return _aff("~D4")
-        return INDEFINITE
-
-    branch = [v for v in range(n) if degrees[v] == 3]
+def _classify_mask(labels, adj: list[int], mask: int) -> TypeClass:
+    """The type of the connected subdiagram on the vertex bitmask mask, typed
+    from masks, not slices: degrees, arms and cycles are read through the
+    whole diagram's labels and neighbour masks adj."""
+    verts = _vertices(mask)
+    n = len(verts)
+    if n <= 2:
+        return _classify_rank2(labels[verts[0]][verts[1]]) if n == 2 else _sph("A1")
+    degrees = [(adj[v] & mask).bit_count() for v in verts]
+    leaves = [v for v, d in zip(verts, degrees) if d == 1]
+    branch = [v for v, d in zip(verts, degrees) if d > 2]
 
     def arm(prev: int, cur: int) -> list:
         """Edge labels from prev through cur and on along degree-2 vertices
-        to the leaf."""
-        labels = [system.labels[prev][cur]]
-        while degrees[cur] == 2:
-            a, b = adj[cur]
-            prev, cur = cur, b if a == prev else a
-            labels.append(system.labels[prev][cur])
-        return labels
+        to a leaf, a branch vertex or, round a cycle, back to the start."""
+        start, out = prev, [labels[prev][cur]]
+        while cur != start:
+            nxt = adj[cur] & mask ^ 1 << prev
+            if not nxt or nxt & nxt - 1:
+                break
+            prev, cur = cur, nxt.bit_length() - 1
+            out.append(labels[prev][cur])
+        return out
 
-    if not branch:
-        # a path: read the label sequence from one endpoint
-        start = degrees.index(1)
-        return _classify_path(arm(start, adj[start][0]))
-
-    if len(branch) == 1:
-        b = branch[0]
-        return _classify_fork([arm(b, first) for first in adj[b]])
-
-    if len(branch) == 2:
-        # only ~D has two branch vertices: all four leaves hang off them directly
-        leaves = [v for v in range(n) if degrees[v] == 1]
-        if (
-            all(m == 3 for _, _, m in edges)
-            and len(leaves) == 4
-            and all(adj[v][0] in branch for v in leaves)
-        ):
-            return _aff(f"~D{n - 1}")
-        return INDEFINITE
-
+    if sum(degrees) >= 2 * n:
+        # connected with >= n edges: a single all-3 cycle is ~A, all else is not
+        if branch or any(m != 3 for m in arm(verts[0], (adj[verts[0]] & mask).bit_length() - 1)):
+            return INDEFINITE
+        return _aff(f"~A{n - 1}")
+    if not branch:  # a path, read from its first end
+        return _classify_path(arm(leaves[0], (adj[leaves[0]] & mask).bit_length() - 1))
+    arms = [arm(b, w) for b in branch for w in _vertices(adj[b] & mask)]
+    if len(branch) == 1:  # a fork, or the star ~D4
+        if len(arms) == 3:
+            return _classify_fork(arms)
+        return _aff("~D4") if n == 5 and all(a == [3] for a in arms) else INDEFINITE
+    # a tree has 2 + sum(degree - 2) leaves; only ~D has two branch vertices,
+    # of degree 3, with all four leaves hanging off them and every label 3
+    hubs = sum(1 << b for b in branch)
+    plain = all(m == 3 for a in arms for m in a)
+    if plain and len(branch) == 2 == len(leaves) - 2 and all(adj[v] & hubs for v in leaves):
+        return _aff(f"~D{n - 1}")
     return INDEFINITE
 
 
 def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
     """Classification of every connected component, in component order."""
-    return [
-        (comp, _classify_connected(_slice(system.labels, comp)))
-        for comp in components(system)
-    ]
+    adj = _adjacency(system.labels)
+    parts = _parts(adj, (1 << len(adj)) - 1)
+    return [(_vertices(c), _classify_mask(system.labels, adj, c)) for c in parts]
+
+
+def _parts(adj: list[int], mask: int) -> Iterator[int]:
+    """The components of the subdiagram on mask, by least vertex."""
+    while mask:
+        comp = _reach(adj, mask, mask & -mask)
+        mask ^= comp
+        yield comp
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _facet_types(system: CoxeterSystem) -> Iterator[TypeClass]:
     """Type of every component of every vertex-deleted subdiagram."""
-    verts = range(system.rank)
-    for v in verts:
-        for _, t in classify(_slice(system.labels, [j for j in verts if j != v])):
-            yield t
+    labels = system.labels
+    adj = _adjacency(labels)
+    everything = (1 << len(adj)) - 1
+    for v in range(len(adj)):
+        for comp in _parts(adj, everything ^ 1 << v):
+            yield _classify_mask(labels, adj, comp)
 
 
-def _types_through_last(system: CoxeterSystem) -> Iterator[TypeClass]:
+def _types_through_last(labels, adj: list[int]) -> Iterator[TypeClass]:
     """Type of the component through the last vertex v of every subdiagram
-    with one other vertex deleted.
+    with one other vertex deleted, from the labels and neighbour masks adj.
 
     When the system minus v is a diagram whose components pass a hereditary
     test, every other component of such a facet lies inside it and passes too.
     """
-    labels = system.labels
-    n = system.rank
-    adj = _adjacency(labels)
+    n = len(adj)
     everything = (1 << n) - 1
     for u in range(n - 1):
-        comp = _reach(adj, everything ^ (1 << u), 1 << (n - 1))
-        yield _classify_connected(_slice(labels, [j for j in range(n) if comp >> j & 1]))
+        yield _classify_mask(labels, adj, _reach(adj, everything ^ 1 << u, 1 << n - 1))
 
 
 def _adjacency(labels) -> list[int]:
@@ -523,14 +521,14 @@ def _reach(adj: list[int], mask: int, start: int) -> int:
 
 
 def _small_spherical(labels, verts) -> bool:
-    """Sphericity of the subdiagram on at most three vertices.
+    """Sphericity of the subdiagram on at most three vertices; larger sets
+    are typed from masks, not slices, by _classify_mask.
 
     The label test is kept because it is the hot path of every subset scan:
-    sending ranks 2 and 3 through classify_irreducible made the
-    sweep-criterion benchmark pass about twice as slow.  Two bonds p, q form
-    a path, which is spherical when (p-2)(q-2) < 4 (an inf bond makes the
-    product inf); three form a triangle, which is never spherical.
-    """
+    sending ranks 2 and 3 through the tables made the sweep-criterion
+    benchmark pass about twice as slow.  Two bonds p, q form a path, which is
+    spherical when (p-2)(q-2) < 4 (an inf bond makes the product inf); three
+    form a triangle, which is never spherical."""
     bonds = [m for i, j in combinations(verts, 2) if (m := labels[i][j]) != 2]
     if len(bonds) == 2:
         p, q = bonds
@@ -551,13 +549,21 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
 
     A single vertex is spherical, and a pair is exactly when its label is
     finite, so an inf label decides every k above 1 and its absence k = 2.
-    Above that a subset is spherical unless it holds a minimal infinite
-    subset, so the walk decides, walked only up to size k.
+    A triple is spherical unless it is a triangle or a path a-b-c with
+    (m_ab - 2)(m_bc - 2) >= 4, which the neighbour masks show.  Above that
+    a subset is spherical unless it holds a minimal infinite subset, so the
+    walk decides, walked only up to size k.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if any(INFINITY in row for row in system.labels):
+    labels = system.labels
+    if any(INFINITY in row for row in labels):
         return k == 1
+    if k == 3:
+        adj = _adjacency(labels)
+        tops = [sorted(m - 2 for m in row if m > 2)[-2:] for row in labels]
+        triangle = any(adj[a] & around for around in adj for a in _vertices(around))
+        return not triangle and all(len(t) < 2 or t[0] * t[1] < 4 for t in tops)
     return k <= 2 or all(len(verts) > k for verts, _, _ in _closure(system).walk(k).minimal)
 
 
@@ -577,7 +583,8 @@ class _SphericalClosure:
     connected facet S + v - w, w a leaf outside T of a spanning tree that
     extends one of T.  _reach runs only to tell whether an unknown facet is
     connected.  Such a candidate is spherical or minimal infinite: the label
-    test decides on at most three vertices, and the tables above that.
+    test decides on at most three vertices, and above that the tables, on a
+    candidate typed from masks, not slices.
 
     The walk resumes: walk(upto) stops once minimal is complete up to size
     upto, and a later walk() goes on from that level.  known maps every
@@ -626,7 +633,7 @@ class _SphericalClosure:
                         if len(cverts) <= 3:
                             spherical = _small_spherical(labels, cverts)
                         else:
-                            t = _classify_connected(_slice(labels, cverts))
+                            t = _classify_mask(labels, adj, cand)
                             spherical = t.is_spherical
                         if spherical:
                             nxt.append((cverts, cand, (around | adj[v]) & ~cand))
@@ -713,7 +720,7 @@ class _SphericalClosure:
             if len(verts) < start:
                 continue
             if t is None:
-                t = _classify_connected(_slice(self.labels, verts))
+                t = _classify_mask(self.labels, self.adj, mask)
                 self.minimal[i] = (verts, mask, t)
             if t.is_affine:
                 yield verts, t

@@ -41,8 +41,9 @@ and code.  Only automorphisms of the parent beyond twin swaps still give
 duplicate codes, which each parent's expansion drops.
 
 A child is derived from its parent's encoded state, built once per parent:
-rows plus one column, neighbour masks plus the bits of v, and twin classes,
-computed only for a level search, split by the labels to v.
+rows plus one column, neighbour masks plus the bits of v, which the facet
+test reads too, and twin classes, computed only for a level search, split by
+the labels to v.
 """
 
 from __future__ import annotations
@@ -300,10 +301,10 @@ class EnumFilter:
         proper = self.all_proper_parabolics_spherical_or_affine
         return not proper or not any(t.is_indefinite for _, t in classify(system))
 
-    def _admits_extension(self, parent: CoxeterSystem, vec: tuple) -> bool:
+    def _admits_extension(self, parent: CoxeterSystem, vec: tuple, adj: list[int]) -> bool:
         """admits, for the child of an admitted, extendable parent that adds
-        a new vertex last with a label vector vec from _label_vectors, and is
-        connected if the filter asks for it.
+        a new vertex last with a label vector vec from _label_vectors, has
+        neighbour masks adj and is connected if the filter asks for it.
 
         Every subset without the new vertex passed in the parent, so only the
         subsets through it are tested, and the child is built only if some
@@ -320,11 +321,10 @@ class EnumFilter:
         proper = self.all_proper_parabolics_spherical_or_affine and parent.rank >= 5
         if k is None and not proper:
             return True
-        rows = tuple(row + (m,) for row, m in zip(parent.labels, vec))
-        child = CoxeterSystem(rows + (vec + (1,),))
-        if k is not None and not is_k_spherical(child, k):
+        rows = tuple(row + (m,) for row, m in zip(parent.labels, vec)) + (vec + (1,),)
+        if k is not None and not is_k_spherical(CoxeterSystem(rows), k):
             return False
-        return not proper or not any(t.is_indefinite for t in _types_through_last(child))
+        return not proper or not any(t.is_indefinite for t in _types_through_last(rows, adj))
 
     def payload(self) -> dict:
         return {
@@ -508,10 +508,11 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     canonical codes.
 
     The parent's encoded rows, masks and twin classes are built once, and
-    _child derives each child's.  _label_vectors lists one vector per orbit
-    of the parent's twin swaps.  Vectors swapped by any other automorphism
-    of the parent give isomorphic children and one code, so the codes are
-    deduplicated here; no other parent gives any of them.
+    _child derives each child's, whose masks the facet test reads too.
+    _label_vectors lists one vector per orbit of the parent's twin swaps.
+    Vectors swapped by any other automorphism of the parent give isomorphic
+    children and one code, so the codes are deduplicated here; no other
+    parent gives any of them.
     """
     code = {1: 0} | {m: _enc_label(m) for m in filt.effective_labels()}
     enc = [[code[m] for m in row] for row in parent.labels]
@@ -522,9 +523,9 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
         # a new vertex joined to nothing leaves a nonempty parent disconnected
         if filt.connected_only and enc and all(m == 2 for m in vec):
             continue
-        if filt._admits_extension(parent, vec):
-            child = _child(enc, adj, twin_id, [code[m] for m in vec])
-            out.add(_deletion_code(*child, parent.rank, filt.connected_only))
+        rows, masks, twins = _child(enc, adj, twin_id, [code[m] for m in vec])
+        if filt._admits_extension(parent, vec, masks):
+            out.add(_deletion_code(rows, masks, twins, parent.rank, filt.connected_only))
     out.discard(None)
     return sorted(out)
 

@@ -60,7 +60,8 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     Any infinite subset contains a minimal infinite one, so commuting pairs
     are searched over minimal infinite subsets only.  The first witness in
     (total size, lex) order is returned, pairs before affine subsets, so the
-    output is schedule-independent.
+    output is schedule-independent.  minimal is in (size, lex) order, so for
+    each I the first J that commutes with it gives I's least key.
     """
     closure = _closure(system).walk()
     adj = closure.adj
@@ -82,6 +83,7 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
                 key = (len(I) + len(J),) + tuple(sorted((I, J)))
                 if best is None or key < best:
                     best = key
+                break
     if best is not None:
         return HyperbolicityVerdict(False, CommutingInfinitePair(best[1], best[2]))
     aff = has_affine_parabolic(system)

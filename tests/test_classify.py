@@ -60,9 +60,7 @@ from coxtools.catalog import (
 from coxtools.classify import (
     _enclosure,
     _fx_add,
-    _fx_mul,
     _fx_sign,
-    _fx_sub,
     _inertia,
     _inertia_fixed,
     _least_prime_power,
@@ -182,6 +180,120 @@ def test_classify_componentwise():
     out = classify(s)
     assert [(sub, tc.name) for sub, tc in out] == [((0, 1), "A2"), ((2, 3, 4), "~A2")]
     assert classify(CoxeterSystem.empty()) == []
+
+
+def _edge_list_type(system):
+    """The shape recognizer as it was before it typed masks: it reads the
+    edge list of a sliced, nonempty, connected system."""
+    sph, aff, indefinite = classify_module._sph, classify_module._aff, classify_module.INDEFINITE
+    n = system.rank
+    if n == 1:
+        return sph("A1")
+    if n == 2:
+        return classify_module._classify_rank2(system.labels[0][1])
+    edges = system.edges()
+    adj = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degrees = [len(a) for a in adj]
+    if len(edges) >= n:
+        if len(edges) == n and all(d == 2 for d in degrees) and all(m == 3 for _, _, m in edges):
+            return aff(f"~A{n - 1}")
+        return indefinite
+    maxdeg = max(degrees)
+    if maxdeg >= 4:
+        if n == 5 and sorted(degrees) == [1, 1, 1, 1, 4] and all(m == 3 for _, _, m in edges):
+            return aff("~D4")
+        return indefinite
+    branch = [v for v in range(n) if degrees[v] == 3]
+
+    def arm(prev, cur):
+        labels = [system.labels[prev][cur]]
+        while degrees[cur] == 2:
+            a, b = adj[cur]
+            prev, cur = cur, b if a == prev else a
+            labels.append(system.labels[prev][cur])
+        return labels
+
+    if not branch:
+        start = degrees.index(1)
+        return classify_module._classify_path(arm(start, adj[start][0]))
+    if len(branch) == 1:
+        return classify_module._classify_fork([arm(branch[0], first) for first in adj[branch[0]]])
+    leaves = [v for v in range(n) if degrees[v] == 1]
+    if (
+        len(branch) == 2
+        and all(m == 3 for _, _, m in edges)
+        and len(leaves) == 4
+        and all(adj[v][0] in branch for v in leaves)
+    ):
+        return aff(f"~D{n - 1}")
+    return indefinite
+
+
+def _assert_mask_type_matches_edge_list(system, mask):
+    labels = system.labels
+    got = classify_module._classify_mask(labels, classify_module._adjacency(labels), mask)
+    want = _edge_list_type(restrict(system, [v for v in range(system.rank) if mask >> v & 1]))
+    assert (got.kind, got.name, got.aliases) == (want.kind, want.name, want.aliases), mask
+    return got
+
+
+@st.composite
+def typer_systems(draw, max_rank=9):
+    """Systems up to rank 9 with labels {3, 4, 5, 6, 7, inf}, drawn sparse
+    often enough that paths, forks and cycles come up among their subsets."""
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    pool = [2] * draw(st.sampled_from([1, 3, 6, 12])) + [3, 3, 3, 4, 5, 6, 7, INFINITY]
+    labels = st.sampled_from(pool)
+    edges = {(i, j): draw(labels) for i in range(n) for j in range(i + 1, n)}
+    return CoxeterSystem.from_edges(n, {ij: m for ij, m in edges.items() if m != 2})
+
+
+@given(typer_systems())
+@settings(max_examples=150)
+def test_mask_typer_matches_the_edge_list_recognizer(s):
+    # every connected vertex set, contiguous or not
+    adj = classify_module._adjacency(s.labels)
+    for mask in range(1, 1 << s.rank):
+        if classify_module._reach(adj, mask, mask & -mask) == mask:
+            _assert_mask_type_matches_edge_list(s, mask)
+
+
+def _table_names():
+    names = ["F4", "G2", "~F4", "~G2", "E10", "~B2", "I2(5)", "I2(7)", "I2(12)", "I2(inf)"]
+    for family in ("A", "B", "C", "D", "E", "H", "~A", "~B", "~C", "~D", "~E"):
+        names += [f"{family}{k}" for k in range(1, 10)]
+    out = []
+    for name in names:
+        try:
+            standard_system(name)
+        except ValueError:
+            continue
+        out.append(name)
+    return out
+
+
+TABLE_NAMES = _table_names()
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_mask_typer_finds_every_table_name_embedded_in_a_larger_diagram(name):
+    # the table diagram sits at shuffled positions among three more vertices,
+    # each joined to some vertices of it or of each other
+    table = standard_system(name)
+    rng = random.Random(name)
+    n = table.rank + 3
+    pos = rng.sample(range(n), table.rank)
+    edges = {tuple(sorted((pos[i], pos[j]))): m for i, j, m in table.edges()}
+    for v in set(range(n)) - set(pos):
+        for w in rng.sample([u for u in range(n) if u != v], 2):
+            edges[tuple(sorted((v, w)))] = rng.choice([3, 4, 5, INFINITY])
+    s = CoxeterSystem.from_edges(n, edges)
+    got = _assert_mask_type_matches_edge_list(s, sum(1 << v for v in pos))
+    assert got == classify_irreducible(table)
+    assert got.is_indefinite == (name == "E10")
 
 
 # -- signature engine -------------------------------------------------------
@@ -452,6 +564,24 @@ def test_machin_series_brackets_pi(w):
         assert lo < mpmath.pi * 2**w < hi
 
 
+@given(
+    st.sampled_from([24, 25, 64, 88, 1000]),
+    st.fractions(min_value=0, max_value=Fraction(314159, 100000)),
+    st.integers(min_value=0, max_value=48),
+)
+@settings(max_examples=150)
+def test_cosine_bound_holds_over_its_whole_interval(w, t, width):
+    # the 24 guard bits of _enclosure would hide a missing Lipschitz widening:
+    # here [a, b] is up to 2^48 units wide at w bits, so the low end must
+    # fall by 4^k (b - a) to stay under cos(b / 2^w)
+    a = int(t * 2**w)
+    b = min(a + (1 << width) - 1, int(Fraction(314159, 100000) * 2**w))
+    lo, hi, v = classify_module._cos_bound(a, b, w)
+    with mpmath.workprec(v + 64):
+        assert lo < mpmath.cos(mpmath.mpf(b) / 2**w) * 2**v
+        assert mpmath.cos(mpmath.mpf(a) / 2**w) * 2**v < hi
+
+
 @pytest.mark.parametrize("p", [64, 100, 128, 256, 512, 1000, 1024, 2048, 4096, 8192])
 def test_enclosures_contain_cosine_within_four_ulp(p):
     # integer series against mpmath 64 bits finer; the huge labels run the
@@ -641,25 +771,53 @@ def _enclosures(bound=1 << 70):
     return draw_one()
 
 
+def _bareiss_update(d, c, e, x):
+    """Entry (1, 2) of [[d, c, e], [c, 1, x], [e, x, 1]] after pivot 0, as
+    (lo, hi, mask) over the divisor 1, or None when the update skips it."""
+    calls = []
+
+    def divide(y, under):
+        calls.append(y if under[0] > 0 else (-y[1], -y[0], y[2]))
+        return (0, 0, 0)
+
+    one = (1, 1, 0)
+    _inertia([[d, c, e], [c, one, x], [e, x, one]], 0, divide)
+    return calls[1] if len(calls) == 3 else None
+
+
 @given(_enclosures(), _enclosures())
 def test_fixed_point_sum_and_difference_enclose_exact_values(xv, yv):
     (x, a), (y, b) = xv, yv
     lo, hi, u = _fx_add(x, y)
     assert (lo, hi) == (x[0] + y[0], x[1] + y[1]) and lo <= a + b <= hi
-    lo, hi, v = _fx_sub(x, y)
-    assert (lo, hi) == (x[0] - y[1], x[1] - y[0]) and lo <= a - b <= hi
-    assert u == v == x[2] | y[2]
+    # the Bareiss update of 1 * x - 1 * y
+    one = (1, 1, 0)
+    got = _bareiss_update(one, one, y, x)
+    if got is None:
+        assert x[:2] == y[:2] == (0, 0)
+    else:
+        lo, hi, v = got
+        assert (lo, hi) == (x[0] - y[1], x[1] - y[0]) and lo <= a - b <= hi
+        assert u == v == x[2] | y[2]
 
 
-@given(_enclosures(), _enclosures())
-def test_fixed_point_product_is_the_exact_hull(xv, yv):
-    # the sign-case shortcuts must give the hull of all four endpoint products
-    (x, a), (y, b) = xv, yv
-    ends = [s * t for s in x[:2] for t in y[:2]]
-    lo, hi, u = _fx_mul(x, y)
-    assert (lo, hi, u) == (min(ends), max(ends), x[2] | y[2])
-    assert lo <= a * b <= hi
-    assert _fx_mul(y, x) == (lo, hi, u)
+def _decided(bound=1 << 70):
+    return _enclosures(bound).filter(lambda dv: dv[0][0] > 0 or dv[0][1] < 0)
+
+
+@given(_decided(), _enclosures(), _enclosures(), _enclosures())
+def test_fixed_point_product_is_the_exact_hull(dv, cv, ev, xv):
+    # the update d x - c e, with the pivot d of decided sign, must be the hull
+    # over all endpoint products, and skip only an exact 0
+    (d, dp), (c, cp), (e, ep), (x, xp) = dv, cv, ev, xv
+    got = _bareiss_update(d, c, e, x)
+    if got is None:
+        assert x[:2] == (0, 0) and (c[:2] == (0, 0) or e[:2] == (0, 0))
+        return
+    dx = [s * t for s in d[:2] for t in x[:2]]
+    ce = [s * t for s in c[:2] for t in e[:2]]
+    assert got == (min(dx) - max(ce), max(dx) - min(ce), d[2] | c[2] | e[2] | x[2])
+    assert got[0] <= dp * xp - cp * ep <= got[1]
 
 
 @given(_enclosures(bound=8))
@@ -912,6 +1070,33 @@ def test_is_hyperbolic_witness_brute_force(s):
     assert is_hyperbolic(s) == _ref_hyperbolic(s)
 
 
+def _double_loop_pair(s):
+    """The least (total size, lex) commuting pair of minimal infinite subsets,
+    by the plain double loop over every pair."""
+    minimal = minimal_infinite_subsets(s)
+    return min(
+        (
+            (len(I) + len(J),) + tuple(sorted((I, J)))
+            for a, I in enumerate(minimal)
+            for J in minimal[a + 1 :]
+            if not set(I) & set(J) and all(s.labels[i][j] == 2 for i in I for j in J)
+        ),
+        default=None,
+    )
+
+
+@given(typer_systems(max_rank=8))
+@settings(max_examples=300)
+def test_pair_search_stops_at_the_first_commuting_J(s):
+    # is_hyperbolic leaves its inner loop at the first J commuting with I
+    pair = _double_loop_pair(s)
+    witness = is_hyperbolic(s).witness
+    if pair is None:
+        assert not isinstance(witness, CommutingInfinitePair)
+    else:
+        assert witness == CommutingInfinitePair(*pair[1:])
+
+
 def test_pair_search_keeps_equal_totals_for_the_lex_order():
     # the infinite bond 7-8 and the ~A3 square 1-2-3-4 commute (total 6) and
     # are found first; the ~A2 triangles 0-5-6 and 9-10-11, found later, have
@@ -990,10 +1175,11 @@ def test_scans_do_not_build_the_packing_tables():
 
 
 def test_bounded_read_stays_bounded_and_is_resumed():
-    # A30 has a walk of 30 levels; the triangle of ~A2 is minimal infinite
+    # A30 has a walk of 30 levels; the triangle of ~A2 is minimal infinite.
+    # k = 4 is the least k that reads the walk: k = 3 reads the masks alone
     s = _shifted([type_A(30), affine_A(2)])
     classify_module._closure.cache_clear()
-    assert not is_k_spherical(s, 3)
+    assert not is_k_spherical(s, 4)
     closure = classify_module._closure(s)
     assert max(mask.bit_count() for mask in closure.known) <= 3
     full = classify_module._SphericalClosure(s).walk()

@@ -664,9 +664,9 @@ def test_facets_are_classified_only_from_child_rank_six(connected_only, monkeypa
     ranks = []
     real = enumeration._types_through_last
 
-    def recording(child):
-        ranks.append(child.rank)
-        return real(child)
+    def recording(labels, adj):
+        ranks.append(len(labels))
+        return real(labels, adj)
 
     monkeypatch.setattr(enumeration, "_types_through_last", recording)
     filt = EnumFilter(label_set=frozenset({2, 3, 4}), connected_only=connected_only, **_PROPER)
