@@ -1,7 +1,7 @@
 """Coxeter diagram toolkit: classification, hyperbolicity, enumeration.
 
-The campaign modules (`enumeration`, `experiments`) load on first use of one
-of their names, so a query that never enumerates does not pay for them.
+The `hyperbolic`, `enumeration` and `experiments` modules load on first use
+of one of their names, so a query pays only for what it runs.
 """
 
 from .core import (
@@ -34,23 +34,18 @@ from .classify import (
     minimal_infinite_subsets,
     signature,
 )
-from .hyperbolic import (
-    AffineCriterionCheck,
-    AffineSearchResult,
-    AffineSubset,
-    CommutingInfinitePair,
-    HyperbolicityVerdict,
-    affine_from_commuting,
-    check_affine_criterion,
-    is_hyperbolic,
-    validate_witness,
-)
 from .report import TOOL_VERSION, Report
 
 __version__ = TOOL_VERSION
 
 # public name -> the module that serves it on first access (PEP 562)
 _LAZY = {
+    **dict.fromkeys(
+        ("AffineCriterionCheck", "AffineSearchResult", "AffineSubset",
+         "CommutingInfinitePair", "HyperbolicityVerdict", "affine_from_commuting",
+         "check_affine_criterion", "is_hyperbolic", "validate_witness"),
+        "hyperbolic",
+    ),
     **dict.fromkeys(
         ("RANK_CAP", "EnumFilter", "canonical_code", "enumerate_diagrams",
          "iter_levels", "system_from_code", "worker_map"),

@@ -17,11 +17,10 @@ cross-check it (a table transcription error cannot survive both).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, count
 from math import isqrt, lcm, log2
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import (
     INFINITY,
@@ -30,6 +29,9 @@ from .core import (
     components,
     is_infinite_label,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -854,6 +856,8 @@ def kazhdan_threshold(system: CoxeterSystem) -> ThresholdResult:
 @cache
 def _threshold_for_rank(d: int) -> tuple[Fraction, int]:
     """The bound 1764^d / 25 and the prime power q, searched once per d."""
+    from fractions import Fraction  # here, to keep it off the start-up path
+
     bound = Fraction(1764) ** d / 25
     # 1764 is coprime to 5, so the bound is never an integer
     return bound, _least_prime_power(-(-bound.numerator // bound.denominator))

@@ -31,7 +31,6 @@ from .classify import (
     minimal_infinite_subsets,
 )
 from .core import INFINITY, CoxeterSystem, Label, label_text
-from .hyperbolic import AffineSubset, CommutingInfinitePair, is_hyperbolic
 from .report import system_payload
 
 
@@ -205,35 +204,26 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_payload(witness) -> Optional[dict]:
-    if witness is None:
-        return None
-    if isinstance(witness, AffineSubset):
-        return {"kind": "affine_subset", "subset": list(witness.subset)}
-    assert isinstance(witness, CommutingInfinitePair)
-    return {
-        "kind": "commuting_infinite_pair",
-        "left": list(witness.left),
-        "right": list(witness.right),
-    }
-
-
 def _cmd_hyperbolic(ns: argparse.Namespace) -> int:
+    from .hyperbolic import AffineSubset, is_hyperbolic
+
     system = _read_diagram(ns)
     verdict = is_hyperbolic(system)
     w = verdict.witness
+    if verdict.hyperbolic:
+        witness, lines = None, ["hyperbolic"]
+    elif isinstance(w, AffineSubset):
+        witness = dict(kind="affine_subset", subset=list(w.subset))
+        lines = [f"not hyperbolic: affine parabolic on {_subset_text(w.subset)}"]
+    else:
+        witness = dict(kind="commuting_infinite_pair", left=list(w.left), right=list(w.right))
+        pair = f"{_subset_text(w.left)} x {_subset_text(w.right)}"
+        lines = [f"not hyperbolic: commuting infinite pair {pair}"]
     payload = {
         "diagram": system_payload(system),
         "verdict": "hyperbolic" if verdict.hyperbolic else "not_hyperbolic",
-        "witness": _witness_payload(w),
+        "witness": witness,
     }
-    if verdict.hyperbolic:
-        lines = ["hyperbolic"]
-    elif isinstance(w, AffineSubset):
-        lines = [f"not hyperbolic: affine parabolic on {_subset_text(w.subset)}"]
-    else:
-        pair = f"{_subset_text(w.left)} x {_subset_text(w.right)}"
-        lines = [f"not hyperbolic: commuting infinite pair {pair}"]
     _emit(payload, ns, lines)
     return 0
 

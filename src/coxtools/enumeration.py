@@ -25,12 +25,11 @@ a prefix is dropped as soon as it fixes a triple {a, b, v} or a 4-subset
 {a, b, c, v} that the filter's subset tables reject.  The tables are built by
 classify on 3- and 4-vertex systems on first use, one labelling of the
 vertices other than v at a time, classifying a 4-subset only when its four
-triples pass.  Under the proper-parabolic rule, they
-settle every facet of a child up to rank 5, so only a surviving child of
-rank 6 and up needs the component through v of each facet classified; every
-other component of a facet lies in the parent.  Under k_spherical 3 or 4
-they settle the whole rule from rank 3 on.  EnumFilter.admits stays the
-standalone check.
+triples pass.  Under the proper-parabolic rule, they settle every facet of a
+child up to rank 5, so only a surviving child of rank 6 and up needs the
+component through v of each facet classified; every other component of a
+facet lies in the parent.  Under k_spherical 3 or 4 they settle the whole
+rule from rank 3 on.  EnumFilter.admits stays the standalone check.
 
 The label vectors are also listed only up to the parent's twin swaps
 (orderly generation, Read, Ann. Discrete Math. 2, 1978): inside each class of
@@ -43,7 +42,9 @@ duplicate codes, which each parent's expansion drops.
 A child is derived from its parent's encoded state, built once per parent:
 rows plus one column, neighbour masks plus the bits of v, which the facet
 test reads too, and twin classes, computed only for a level search, split by
-the labels to v.
+the labels to v.  The level search for a canonical code holds the unplaced
+vertices of each least vertex order as cells sorted by their next column, and
+builds only the orders still least at the next position.
 """
 
 from __future__ import annotations
@@ -114,13 +115,18 @@ def _level_search(
     member) and of every position of the least vertex orders.
 
     The code is the rank byte, then the lexicographically least
-    column-by-column label encoding over all vertex orders.  Every column has
-    a fixed length, so the least code takes the least column at every
-    position.  The search keeps every vertex order whose code so far is
-    least, each as the column every unplaced vertex would add next, and
-    extends it by each vertex adding the least column, once per twin class.
-    A column packs one 16-bit label encoding per placed vertex into an int;
-    all columns of a step have the same length, so ints compare as codes do.
+    column-by-column label encoding over all vertex orders.  A column packs
+    one 16-bit label encoding per placed vertex into an int; the columns of
+    a step have one length, so ints compare as codes do, and the least code
+    takes the least column at every position.  The search keeps every order
+    whose code so far is least, with its unplaced vertices as cells (next
+    column, vertex mask) sorted by column.  Placing v splits each cell by
+    the labels to v, from one (encoded label, vertex mask) list per vertex
+    in label order; so an extension's least next column comes from its
+    first non-empty cell, and only the extensions whose least next column is
+    the least of all are built.  An order is extended by each vertex of its
+    first cell with no earlier twin there: unplaced twins share a cell, and
+    one stands for all.
 
     Every least order is then a kept one with some twins swapped, so two
     vertices share an orbit exactly when a chain of twin pairs and of kept
@@ -129,25 +135,59 @@ def _level_search(
     extends, vertex placed), and walks back from the orders kept at the end.
     """
     n = len(enc)
-    code = [bytes([n])]
-    trail: list[list[tuple[int, int]]] = []
-    orders: list[dict[int, int]] = [dict.fromkeys(range(n), 0)]
-    for k in range(n):
-        least = min(map(min, map(dict.values, orders)))
+    if n < 2:
+        return bytes([n]), ((list(range(n)), list(range(n))) if orbits else None)
+    bits = [1 << u for u in range(n)]
+    groups: list[dict[int, int]] = [{} for _ in enc]
+    for v, row in enumerate(enc):
+        for u, c in enumerate(row[:v]):
+            groups[v][c] = groups[v].get(c, 0) | bits[u]
+            groups[u][c] = groups[u].get(c, 0) | bits[v]
+    split = [sorted(g.items()) for g in groups]
+    earlier, members = [], [0] * n
+    for v, t in enumerate(twin_id):
+        earlier.append(members[t])
+        members[t] |= bits[v]
+    # position 0 adds the empty column, and placing v there leaves the cells split[v]
+    least = min(split)[0][0]
+    steps = [(0, v) for v in range(n) if not earlier[v] and split[v][0][0] == least]
+    code, trail = [bytes([n]), b""], [steps]
+    orders = [split[v] for _, v in steps]
+    for k in range(1, n):
+        least = orders[0][0][0]
         code.append(least.to_bytes(2 * k, "big"))
-        extended = []
         steps = []
-        for i, order in enumerate(orders):
-            tried = set()
-            for v, column in order.items():
-                if column == least and twin_id[v] not in tried:
-                    tried.add(twin_id[v])
-                    if orbits:
-                        steps.append((i, v))
-                    extended.append(
-                        {u: col << 16 | enc[v][u] for u, col in order.items() if u != v}
-                    )
+        for i, cells in enumerate(orders):
+            first = rest = cells[0][1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if not first & earlier[v]:
+                    steps.append((i, v))
+        if len(steps) > 1 and k + 1 < n:
+            ahead = []
+            for i, v in steps:
+                col, mask = orders[i][0] if orders[i][0][1] != bits[v] else orders[i][1]
+                for c, group in split[v]:
+                    if group & mask:
+                        ahead.append(col << 16 | c)
+                        break
+            least = min(ahead)
+            steps = [step for step, x in zip(steps, ahead) if x == least]
         trail.append(steps)
+        extended = []
+        for i, v in steps:
+            cells = []
+            for col, mask in orders[i]:
+                col <<= 16
+                if mask & (mask - 1):
+                    for c, group in split[v]:
+                        if sub := mask & group:
+                            cells.append((col | c, sub))
+                elif mask != bits[v]:
+                    cells.append((col | enc[v][mask.bit_length() - 1], mask))
+            extended.append(cells)
         orders = extended
     code_bytes = b"".join(code)
     if not orbits:

@@ -68,8 +68,8 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     minimal = closure.minimal
     best: Optional[tuple] = None
     for a, (I, mask_i, _) in enumerate(minimal):
-        # minimal is size-sorted, so no later pair can beat a smaller total
-        if best is not None and 2 * len(I) > best[0]:
+        # a later pair has a total above 2|I|, or 2|I| with a first set from I on
+        if best is not None and (2 * len(I), I) > best[:2]:
             break
         # J is disjoint from I and commutes with it when it meets neither I
         # nor a diagram neighbour of I

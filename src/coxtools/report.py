@@ -7,7 +7,6 @@ reports stay byte-identical across reruns and thread counts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -50,6 +49,8 @@ class Report:
         )
 
     def content_hash(self) -> str:
+        import hashlib  # here, to keep it off the start-up path
+
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:

@@ -30,6 +30,13 @@ def named(name: str) -> str:
     return f"type: {name}\n"
 
 
+def complete_pair(n: int) -> str:
+    """Two disjoint complete diagrams of rank n, every label 3."""
+    edges = [f"edge: {base + i} {base + j} 3" for base in (0, n)
+             for i in range(n) for j in range(i + 1, n)]
+    return "\n".join([f"rank: {2 * n}", *edges]) + "\n"
+
+
 def spherical(name: str, rank: int) -> dict:
     """The answers on a spherical diagram: every subset is spherical."""
     return {"classify": [name], "hyperbolic": "hyperbolic", "parabolics": (rank, []),
@@ -52,6 +59,7 @@ ANSWERS = {
     named("D60"): spherical("D60", 60),
     named("~A59"): affine("~A59", 60),
     named("~C59"): affine("~C59", 60),
+    complete_pair(30): {"hyperbolic": "not_hyperbolic"},
 }
 
 # (shape, subcommand, budget in seconds, expected exit code)
@@ -59,6 +67,7 @@ BATTERY = [
     *((edgeless(40), cmd, 10, 0) for cmd in ("threshold", "parabolics", "hyperbolic")),
     *((edgeless(1000), cmd, 10, 0) for cmd in ("classify", "hyperbolic", "parabolics")),
     *((named(name), cmd, 10, 0) for name in ("A60", "D60", "~A59", "~C59") for cmd in QUERIES),
+    (complete_pair(30), "hyperbolic", 10, 0),
 ]
 
 
@@ -68,6 +77,11 @@ def _command() -> list[str]:
     script = shutil.which("coxtools")
     assert script, "coxtools is installed without its console script"
     return [script]
+
+
+def _shape_id(shape: str) -> str:
+    head, *edges = shape.splitlines()
+    return f"{head} +{len(edges)} edges" if edges else head
 
 
 def _answer(cmd: str, payload: dict):
@@ -83,7 +97,7 @@ def _answer(cmd: str, payload: dict):
 @pytest.mark.parametrize(
     "shape, cmd, budget, code",
     BATTERY,
-    ids=[f"{shape.strip()}-{cmd}" for shape, cmd, _, _ in BATTERY],
+    ids=[f"{_shape_id(shape)}-{cmd}" for shape, cmd, _, _ in BATTERY],
 )
 def test_query_answers_within_its_budget(shape, cmd, budget, code):
     start = time.perf_counter()

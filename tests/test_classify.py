@@ -1113,6 +1113,19 @@ def test_pair_search_keeps_equal_totals_for_the_lex_order():
     assert is_hyperbolic(s).witness == CommutingInfinitePair((0, 5, 6), (9, 10, 11))
 
 
+def test_pair_search_stops_at_the_first_total_it_cannot_beat():
+    # two disjoint complete label-3 diagrams of rank 30: every triangle is an
+    # ~A2, and the first triangle commutes with the first triangle of the
+    # other copy, and no later pair of triangles (same total, later first
+    # set) can beat that, so the outer loop stops at the second triangle
+    k30 = CoxeterSystem.from_edges(30, {p: 3 for p in combinations(range(30), 2)})
+    s = _shifted([k30, k30])
+    start = time.perf_counter()
+    witness = is_hyperbolic(s).witness
+    assert time.perf_counter() - start < 1
+    assert witness == CommutingInfinitePair((0, 1, 2), (30, 31, 32))
+
+
 def _shifted(parts):
     """Disjoint union of systems, with the vertices of each part shifted."""
     edges, base = {}, 0

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
@@ -377,6 +378,113 @@ def test_level_search_orbits_are_the_automorphism_orbits(s):
     for p, e in encodings.items():
         if e == least:
             assert [orbit[v] for v in p] == by_position
+
+
+def dict_level_search(enc, twin_id, orbits=False):
+    """The level search as it was before it kept ordered cells: every least
+    vertex order is a dict from each unplaced vertex to the column it would
+    add next, and every extension by a vertex adding the least column, once
+    per twin class, is built, including those that are no longer least at
+    the next position."""
+    n = len(enc)
+    code = [bytes([n])]
+    trail = []
+    orders = [dict.fromkeys(range(n), 0)]
+    for k in range(n):
+        least = min(map(min, map(dict.values, orders)))
+        code.append(least.to_bytes(2 * k, "big"))
+        extended = []
+        steps = []
+        for i, order in enumerate(orders):
+            tried = set()
+            for v, column in order.items():
+                if column == least and twin_id[v] not in tried:
+                    tried.add(twin_id[v])
+                    steps.append((i, v))
+                    extended.append(
+                        {u: col << 16 | enc[v][u] for u, col in order.items() if u != v}
+                    )
+        trail.append(steps)
+        orders = extended
+    code_bytes = b"".join(code)
+    if not orbits:
+        return code_bytes, None
+    columns = []
+    alive = range(len(orders))
+    for steps in reversed(trail):
+        columns.append({steps[i][1] for i in alive})
+        alive = {steps[i][0] for i in alive}
+    orbit = twin_id
+    for column in columns:
+        merged = {orbit[u] for u in column}
+        rep = min(merged)
+        orbit = [rep if x in merged else x for x in orbit]
+    return code_bytes, (orbit, [orbit[min(column)] for column in reversed(columns)])
+
+
+@st.composite
+def tied_systems(draw, max_rank=9):
+    """Ranks 0..max_rank with labels drawn from one to three of
+    {2, 3, 4, 5, 6, inf}, so that vertices often tie, as in the symmetric
+    diagrams where the level search keeps many orders."""
+    n = draw(st.integers(min_value=0, max_value=max_rank))
+    pool = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, INFINITY]), min_size=1, max_size=3))
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from(pool))
+    return CoxeterSystem.from_rows(mat)
+
+
+def check_against_dict_search(s: CoxeterSystem) -> None:
+    enc = encode(s)
+    twin_id = _twins(enc)
+    want = dict_level_search(enc, twin_id, orbits=True)
+    assert _level_search(enc, twin_id, orbits=True) == want
+    assert _level_search(enc, twin_id) == (want[0], None)
+
+
+@given(tied_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=400)
+def test_level_search_matches_the_dict_search(s, rng):
+    perm = list(range(s.rank))
+    rng.shuffle(perm)
+    check_against_dict_search(s)
+    check_against_dict_search(permuted(s, perm))
+
+
+def test_level_search_matches_the_dict_search_on_the_code_corpus():
+    for s in code_corpus():
+        check_against_dict_search(s)
+
+
+def _complete(n, m):
+    return CoxeterSystem.from_edges(n, {p: m for p in combinations(range(n), 2)})
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        CoxeterSystem.from_edges(8, {}),
+        _complete(8, 3),
+        _complete(8, INFINITY),
+        CoxeterSystem.from_edges(8, {(i, j): 3 for i in range(3) for j in range(3, 8)}),
+    ],
+    ids=["edgeless", "complete-3", "complete-inf", "K3,5"],
+)
+def test_level_search_tries_one_vertex_per_twin_class(s):
+    # every vertex here has a twin, and the least orders differ by twin swaps
+    # only; extended by one vertex per twin class, the search holds a handful
+    # of orders, where one per twin placement would be 8! = 40,320 on the
+    # edgeless and complete diagrams and 2 * 3! * 5! = 1440 on K3,5
+    enc = encode(s)
+    tracemalloc.start()
+    try:
+        _level_search(enc, _twins(enc), orbits=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def check_deletion_orbit(s: CoxeterSystem, perm: list[int]) -> None:

@@ -19,14 +19,19 @@ from coxtools.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("multiprocessing", "coxtools.enumeration", "coxtools.experiments")
+# what classify does not run: hyperbolicity, the threshold's Fraction (which
+# loads decimal) and the reports' hashlib
+NOT_CLASSIFY = ("coxtools.hyperbolic", "fractions", "decimal", "hashlib")
 
-# `python -m coxtools ARGS`, then the HEAVY modules it loaded as JSON on stderr
-CLI = f"""
+# `python -m coxtools ARGS` after a JSON list of modules, then those of them
+# it loaded as JSON on stderr
+CLI = """
 import json, runpy, sys
+watch = json.loads(sys.argv.pop(1))
 try:
     runpy.run_module("coxtools", run_name="__main__")
 finally:
-    print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]), file=sys.stderr)
+    print(json.dumps([m for m in watch if m in sys.modules]), file=sys.stderr)
 """
 
 
@@ -43,9 +48,9 @@ def fresh(code, *args, stdin=None):
     )
 
 
-def cold_cli(args, stdin=None):
-    """(exit code, stdout, HEAVY modules loaded) of one cold CLI call."""
-    proc = fresh(CLI, *args, stdin=stdin)
+def cold_cli(args, stdin=None, watch=HEAVY):
+    """(exit code, stdout, watched modules loaded) of one cold CLI call."""
+    proc = fresh(CLI, json.dumps(watch), *args, stdin=stdin)
     return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
 
 
@@ -98,6 +103,15 @@ def test_queries_load_no_campaign_modules(command, diagram, want):
     assert code == 0
     assert heavy == []
     assert answer(json.loads(out)) == want
+
+
+def test_cold_classify_loads_only_what_it_runs():
+    code, out, loaded = cold_cli(
+        ["classify", "--stdin", "--format", "json"], "type: E8\n", HEAVY + NOT_CLASSIFY
+    )
+    assert code == 0
+    assert loaded == []
+    assert json.loads(out)["spherical"] is True
 
 
 @pytest.mark.parametrize(
