@@ -4,11 +4,12 @@ Two independent engines:
 
 * a shape recognizer against the standard classification tables (paths,
   cycles, forks with prescribed label patterns), typed from masks, not slices, and
-* the exact signature of the cosine Gram matrix, from one fraction-free
-  elimination of 2B over fixed-point integer enclosures, where an
-  algebraic-integer gap certifies every zero.  2B is an integer for labels
-  2, 3 and inf; every other 2^p * -2cos(pi/m) is enclosed by its floor and
-  ceiling, in Python ints, by Machin's series for pi and Taylor's for cos.
+* the exact signature of the cosine Gram matrix, from one sparse symmetric
+  elimination of 2B over fixed-point integer enclosures, pivoting on least
+  degree, where an algebraic-integer gap certifies every zero.  2^p * 2B is
+  an integer for labels 2, 3 and inf; every other 2^p * -2cos(pi/m) is
+  enclosed by its floor and ceiling, in Python ints, by Machin's series for
+  pi and Taylor's for cos.
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
@@ -183,73 +184,98 @@ def _fx_sign(x) -> Optional[int]:
     return 1 if x[0] > 0 else -1 if x[1] < 0 else None if x[0] or x[1] else 0
 
 
-def _inertia(m, p: int, divide) -> Optional[tuple[int, int, int]]:
+def _inertia(m: list[dict], p: int, gap) -> tuple[int, int, int] | int:
     """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix of enclosures
-    at scale 2^p, eliminated in place; None when a sign stays open.
+    at scale 2^p, held sparse and eliminated in place: m[x][y] is entry
+    (x, y), absent when it is an exact 0.  When a sign stays open, the result
+    is instead an int, the precision at which the open entries would settle.
 
-    Symmetric Bareiss elimination (Bareiss, Math. Comp. 22, 1968): after k
-    pivots every active entry is the minor bordering the k pivot rows and
-    columns, so the update S[x][y] = (d*S[x][y] - S[x][k]*S[k][y]) / d_prev
-    divides exactly, and the k-th pivot d_k is the k-th leading minor in
-    pivot order.  By Jacobi's rule it counts as positive iff d_k and d_{k-1}
-    have the same sign (d_0 = 1).  When every active diagonal entry vanishes
-    but some m[i][j] does not, adding row and column j to row and column i
-    is a unimodular congruence that leaves the pivot minors alone and
-    produces the diagonal entry 2*m[i][j].  The pivot is the first diagonal
-    entry of decided nonzero sign; divide(x, d) divides by the last pivot d and
-    brings x back to scale 2^p.
+    Each step pivots on the active vertex of least degree (George and Liu,
+    SIAM Rev. 31, 1989), the least index among ties, whose diagonal entry d_k
+    has a decided sign, and counts that sign.  Only the pairs x, y of the
+    pivot's neighbours change, to S_xy - S_xk S_ky / d_k, so after the pivots
+    P every active entry is a Schur entry det A[P+x, P+y] / det A[P], and
+    det A[P] is the product of the pivots.  That minor lies in the field of the masks of
+    the pivots and the entry, where a nonzero one exceeds 2^-gap(mask), and
+    the pivots' sizes multiply to under 2^E, so an enclosure inside
+    2^-(gap + E) is an exact 0 and leaves m.  When every active diagonal
+    entry is 0 but some S_ij is not, adding row and column j to row and
+    column i is a unimodular congruence that makes the diagonal entry 2 S_ij.
+    An open entry w units wide would be decided or certified at gap + E +
+    log2 w bits, and 16 more cover the rounding of the next pass.
     """
-    active = list(range(len(m)))
-    plus = minus = zero = 0
-    d_prev, s_prev = (1 << p, 1 << p, 0), 1
+    active = dict.fromkeys(range(len(m)))
+    plus = zero = minus = pmask = 0
+    prod = 1 << p  # prod / 2^p bounds the product of the pivots' sizes
     while active:
-        for piv in active:
-            if s := _fx_sign(m[piv][piv]):
-                break
-        else:  # every active diagonal entry is 0 or undecided
-            block = [(i, j) for a, i in enumerate(active) for j in active[a:]]
-            signs = [_fx_sign(m[i][j]) for i, j in block]
-            if None in signs:
-                return None
-            if not any(signs):
-                zero += len(active)
-                break
-            i, j = next(ij for ij, sg in zip(block, signs) if sg)
-            for k in active:
-                m[i][k] = _fx_add(m[i][k], m[j][k])
-            for k in active:
-                m[k][i] = _fx_add(m[k][i], m[k][j])
-            piv, s = i, _fx_sign(m[i][i])
-        d = m[piv][piv]
-        if s == s_prev:
+        piv, least = None, len(m) + 1
+        for v in active:
+            row = m[v]
+            if len(row) < least and (x := row.get(v)) and (x[0] > 0 or x[1] < 0):
+                piv, least = v, len(row)
+        if piv is None:  # every active diagonal entry is 0 or undecided
+            diag = [x for v in active if (x := m[v].get(v))]
+            pairs = [(v, w) for v in active for w, x in m[v].items() if _fx_sign(x)]
+            if diag or not pairs:
+                stuck = diag or [x for v in active for x in m[v].values()]
+                if not stuck:
+                    zero += len(active)
+                    break
+                return max(
+                    gap(u | pmask) + prod.bit_length() - p + (hi - lo).bit_length()
+                    for lo, hi, u in stuck
+                ) + 16
+            piv, j = pairs[0]
+            row = m[piv]
+            row[piv] = _fx_add(row[j], row[j])
+            for k, x in m[j].items():
+                if k != piv:
+                    row[k] = m[k][piv] = _fx_add(row[k], x) if k in row else x
+        del active[piv]
+        col = m[piv]
+        dl, dh, du = col.pop(piv)
+        if s := dl > 0:
             plus += 1
         else:
             minus += 1
-        rest = [k for k in active if k != piv]
-        col = m[piv]
-        neg = [(-hi, -lo, u) for lo, hi, u in col]
-        # d x - cx cy over d_prev is |d| x - (s cx) cy over s d_prev, and
-        # (s cx) cy is c (+-cy) with c = +-s cx nonnegative or straddling 0
-        dl, dh, du = d if s > 0 else neg[piv]
-        under = d_prev if s > 0 else (-d_prev[1], -d_prev[0], d_prev[2])
-        for ai, x in enumerate(rest):
-            row, (cl, ch, cu), ys = m[x], col[x] if s > 0 else neg[x], col
-            if ch <= 0:
-                cl, ch, ys = -ch, -cl, neg
+            dl, dh = -dh, -dl
+        prod = -(-prod * dh >> p)
+        pmask |= du
+        shift = 2 * p - prod.bit_length()  # p - E
+        for x in col:
+            del m[x][piv]
+        ends = list(col.items())
+        for i, (x, (cl, ch, cu)) in enumerate(ends):
+            row = m[x]
             cu |= du
-            for y in rest[ai:]:
-                a, b, u = row[y]
-                el, eh, v = ys[y]
-                if a or b or (cl or ch) and (el or eh):  # else both products are the point 0
-                    if cl >= 0:
-                        plo, phi = el * (cl if el >= 0 else ch), eh * (ch if eh >= 0 else cl)
-                    else:
-                        plo, phi = min(cl * eh, ch * el), max(cl * el, ch * eh)
-                    lo, hi = a * (dl if a >= 0 else dh) - phi, b * (dh if b >= 0 else dl) - plo
-                    row[y] = m[y][x] = divide((lo, hi, u | v | cu), under)
-        d_prev, s_prev = d, s
-        active = rest
+            sx = s
+            if ch <= 0:  # s c e is (-s)(-c) e, with -c nonnegative
+                cl, ch, sx = -ch, -cl, not s
+            for y, (el, eh, eu) in ends[i:]:
+                # S_xy - s c e / |d|: c e is at scale 4^p, its quotient at 2^p
+                if cl >= 0:
+                    lo, hi = el * (cl if el >= 0 else ch), eh * (ch if eh >= 0 else cl)
+                else:
+                    lo, hi = min(cl * eh, ch * el), max(cl * el, ch * eh)
+                if not sx:
+                    lo, hi = -hi, -lo
+                a, b, u = row.get(y, (0, 0, 0))
+                lo, hi = a - -(-hi // (dh if hi < 0 else dl)), b - lo // (dl if lo < 0 else dh)
+                if lo <= 0 <= hi and (
+                    not lo and not hi
+                    or (r := shift - gap(u | cu | eu | pmask)) > 0 and -(1 << r) < lo and hi < 1 << r
+                ):
+                    row.pop(y, None)
+                    m[y].pop(x, None)
+                else:
+                    row[y] = m[y][x] = (lo, hi, u | cu | eu)
     return plus, zero, minus
+
+
+@cache
+def _points(p: int) -> dict:
+    """The enclosures of the integer entries of 2B at scale 2^p, by label."""
+    return {m: (v << p, v << p, 0) for m, v in _TWICE_B.items()}
 
 
 def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
@@ -257,44 +283,38 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
     lo <= 2^p * x <= hi, and mask the irrational labels x was computed from;
     an entry of 2B is the point _TWICE_B[m] << p or _enclosure(m, p).
 
-    When every label is 2, 3 or inf, 2B is an integer matrix: p is 0, every
-    enclosure is a point and the elimination is integer Bareiss, which never
-    leaves a sign open.  Otherwise p starts at 64 and doubles while a sign
-    stays open.  This terminates: every active entry is a minor of a
-    unimodular congruent of 2B, so an algebraic integer of Q(cos(pi/L)), L the
-    lcm of its labels, of degree D <= phi(2L)/2.  The conjugates of an entry of 2B
-    are at most 2 in size, so by Hadamard's bound and at most n row/column additions,
-    each adding at most 4 minors, those of an entry are at most H = (2 sqrt(n))^n * 4^n.
-    A nonzero entry has an integer norm, so |x| >= H^-(D-1), and an
+    p starts at 96 for every label set, integer 2B (labels 2, 3 and inf)
+    included.  A pass that leaves a sign open is followed by one at the
+    precision it asks for when that lies in (2p, p^2], and else at 2p: a jump
+    past p^2 would mostly pay for a nonzero entry too small to see at p,
+    which doubling decides first.  This terminates: a Schur entry times the
+    product of the pivots is a minor of a unimodular congruent of 2B, so an
+    algebraic integer of Q(cos(pi/L)), L the lcm of its labels, of degree
+    D <= phi(2L)/2.  The conjugates of an entry of 2B are at most 2 in size,
+    so by Hadamard's bound and at most n row/column additions, each adding
+    at most 4 minors, those of a minor are at most H = (2 sqrt(n))^n * 4^n.
+    A nonzero minor has an integer norm, so |x| >= H^-(D-1), and an
     enclosure strictly inside that gap is an exact 0 (Yap, CGTA 7, 1997).
     """
     n = system.rank
     irrational = sorted(set().union(*system.labels) - _TWICE_B.keys())
     hbits = n * (64 * n).bit_length()  # at least 2 log2 H
     gap_bits: dict[int, int] = {}
-    p = 64 if irrational else 0
 
-    def divide(x, d):
-        lo, hi, u = x
-        c, e, v = d
-        if c < 0:
-            lo, hi, c, e = -hi, -lo, -e, -c
-        lo, hi, u = lo // (c if lo < 0 else e), -(-hi // (e if hi < 0 else c)), u | v
-        if lo <= 0 <= hi and (lo or hi):
-            if (b := gap_bits.get(u)) is None:
-                L = lcm(*(m for k, m in enumerate(irrational) if u >> k & 1))
-                b = gap_bits[u] = ((_field_degree(L) - 1) * hbits + 1) // 2
-            if p > b and -(1 << p - b) < lo and hi < 1 << p - b:  # inside 2^-b <= gap
-                return (0, 0, 0)
-        return (lo, hi, u)
+    def gap(u: int) -> int:
+        if (b := gap_bits.get(u)) is None:
+            L = lcm(*(m for k, m in enumerate(irrational) if u >> k & 1))
+            b = gap_bits[u] = ((_field_degree(L) - 1) * hbits + 1) // 2
+        return b
 
+    p = 96
     while True:
-        table = {m: (v << p, v << p, 0) for m, v in _TWICE_B.items()}
-        table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
-        mat = [[table[m] for m in row] for row in system.labels]
-        if (out := _inertia(mat, p, divide)) is not None:
+        table = _points(p) | {m: (*_enclosure(m, p), 1 << k) for k, m in enumerate(irrational)}
+        mat = [{j: table[m] for j, m in enumerate(row) if m != 2} for row in system.labels]
+        out = _inertia(mat, p, gap)
+        if isinstance(out, tuple):
             return out
-        p = 2 * p or 64
+        p = out if 2 * p < out <= p * p else 2 * p
 
 
 def signature(system: CoxeterSystem) -> Signature:

@@ -66,6 +66,7 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
     closure = _closure(system).walk()
     adj = closure.adj
     minimal = closure.minimal
+    everything = (1 << len(adj)) - 1
     best: Optional[tuple] = None
     for a, (I, mask_i, _) in enumerate(minimal):
         # a later pair has a total above 2|I|, or 2|I| with a first set from I on
@@ -76,6 +77,8 @@ def is_hyperbolic(system: CoxeterSystem) -> HyperbolicityVerdict:
         around_i = 0
         for v in I:
             around_i |= adj[v]
+        if not everything & ~(mask_i | around_i):
+            continue  # no vertex is left for a J
         for J, mask_j, _ in minimal[a + 1 :]:
             if best is not None and len(I) + len(J) > best[0]:
                 break

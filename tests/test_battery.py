@@ -37,6 +37,12 @@ def complete_pair(n: int) -> str:
     return "\n".join([f"rank: {2 * n}", *edges]) + "\n"
 
 
+def complete(n: int, label: str) -> str:
+    """The complete diagram of rank n with every label the same."""
+    edges = [f"edge: {i} {j} {label}" for i in range(n) for j in range(i + 1, n)]
+    return "\n".join([f"rank: {n}", *edges]) + "\n"
+
+
 def spherical(name: str, rank: int) -> dict:
     """The answers on a spherical diagram: every subset is spherical."""
     return {"classify": [name], "hyperbolic": "hyperbolic", "parabolics": (rank, []),
@@ -60,6 +66,8 @@ ANSWERS = {
     named("~A59"): affine("~A59", 60),
     named("~C59"): affine("~C59", 60),
     complete_pair(30): {"hyperbolic": "not_hyperbolic"},
+    complete(40, "3"): {"hyperbolic": "not_hyperbolic"},
+    complete(200, "inf"): {"hyperbolic": "hyperbolic"},
 }
 
 # (shape, subcommand, budget in seconds, expected exit code)
@@ -68,6 +76,8 @@ BATTERY = [
     *((edgeless(1000), cmd, 10, 0) for cmd in ("classify", "hyperbolic", "parabolics")),
     *((named(name), cmd, 10, 0) for name in ("A60", "D60", "~A59", "~C59") for cmd in QUERIES),
     (complete_pair(30), "hyperbolic", 10, 0),
+    (complete(40, "3"), "hyperbolic", 10, 0),
+    (complete(200, "inf"), "hyperbolic", 10, 0),
 ]
 
 

@@ -67,7 +67,8 @@ from coxtools.classify import (
     _pi,
 )
 from coxtools.cli import MAX_RANK
-from coxtools.enumeration import canonical_code
+from coxtools.core import components
+from coxtools.enumeration import EnumFilter, canonical_code, iter_levels
 from conftest import coxeter_systems
 
 # the package exports a function named classify, which hides the module
@@ -474,8 +475,9 @@ def test_signature_matches_exact_sympy_oracle(s):
 
 
 def test_signature_large_rank_known_values():
-    # Bareiss divisions keep the entries at the size of minors; without them
-    # the rank-40 mixed path does not finish
+    # every Schur entry is an enclosure at the working 2^p whatever the rank,
+    # so exact entries that grow with it never form; on a path each
+    # least-degree pivot updates one entry
     assert signature(type_A(40)).as_tuple == (40, 0, 0)
     assert signature(affine_A(39)).as_tuple == (39, 1, 0)
     mixed = path_system([(4, 3, 6, 3)[i % 4] for i in range(39)])
@@ -556,6 +558,124 @@ def test_tiny_nonzero_minor_is_not_snapped(m):
     assert _inertia_fixed(type_I2(m)) == (2, 0, 0)
 
 
+def _mpmath_signature(system, dps=60):
+    """Eigenvalue signs of the cosine form at dps digits, 0 within 10^(-dps/2)."""
+    n = system.rank
+    with mpmath.workdps(dps):
+        g = mpmath.matrix(n, n)
+        for i, row in enumerate(system.labels):
+            for j, m in enumerate(row):
+                g[i, j] = 1 if i == j else -1 if math.isinf(m) else -mpmath.cos(mpmath.pi / m)
+        eigs = mpmath.eigsy(g, eigvals_only=True)
+        tol = mpmath.mpf(10) ** (-dps // 2)
+        return (sum(e > tol for e in eigs), sum(abs(e) <= tol for e in eigs),
+                sum(e < -tol for e in eigs))
+
+
+@pytest.mark.parametrize(
+    "system, want",
+    [
+        (path_system([INFINITY, 5, 7, 4, 4, 7, 5, INFINITY]), (6, 1, 2)),
+        (path_system([INFINITY, 7, 8, INFINITY]), (3, 1, 1)),
+    ],
+)
+def test_precision_jumps_to_the_gap(system, want, monkeypatch):
+    # the kernel of each needs the gap of Q(cos(pi/140)) or Q(cos(pi/56)),
+    # about 2100 and 520 bits: the pass after p = 96 goes straight there
+    # instead of doubling through 7 or 5 passes
+    seen = set()
+
+    def recording(m, p):
+        seen.add(p)
+        return _enclosure(m, p)
+
+    monkeypatch.setattr(classify_module, "_enclosure", recording)
+    assert signature(system).as_tuple == want
+    assert len(seen) <= 2, sorted(seen)
+    assert _mpmath_signature(system) == want
+
+
+ORACLE_LABELS = (2, 3, 4, 5, 6, 7, 8, INFINITY, 7 * 11 * 13 * 29)
+
+
+@st.composite
+def oracle_systems(draw, max_rank=10):
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    sparse = draw(st.integers(min_value=0, max_value=3))  # in quarters of pairs
+    edges = {}
+    for pair in combinations(range(n), 2):
+        if draw(st.integers(min_value=0, max_value=3)) >= sparse:
+            edges[pair] = draw(st.sampled_from(ORACLE_LABELS))
+    return CoxeterSystem.from_edges(n, edges)
+
+
+@given(oracle_systems())
+@settings(max_examples=200)
+def test_sparse_engine_matches_the_dense_oracle(s):
+    want = [0, 0, 0]
+    for comp in components(s):
+        want = [a + b for a, b in zip(want, _dense_signature(restrict(s, comp)))]
+    assert signature(s).as_tuple == tuple(want)
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: path_system([(4, 5, 7)[i % 3] for i in range(999)]), (705, 0, 295)),
+        (lambda: type_A(1000), (1000, 0, 0)),
+        (lambda: affine_A(999), (999, 1, 0)),
+        # pivoting on the centre first would fill in all C(999, 2) leaf pairs
+        (lambda: CoxeterSystem.from_edges(1000, {(0, v): 3 for v in range(1, 1000)}), (999, 0, 1)),
+    ],
+    ids=["path-457", "A1000", "~A999", "star999"],
+)
+def test_signature_at_rank_1000_within_a_loose_budget(build, want):
+    system = build()
+    start = time.perf_counter()
+    assert signature(system).as_tuple == want
+    assert time.perf_counter() - start < 2.0  # a loose backstop; each takes ~0.1 s
+    if want[1] == 0:  # the least |eigenvalue| of the path is 2.8e-4
+        assert _float_signature(system) == want
+
+
+def test_zero_certificate_counts_every_pivot():
+    # S = 0 - 1 / 2^70 lies within 2^-64 of 0, but its minor
+    # det [[2^70, 1], [1, 0]] = -1 does not, once the pivot 2^70 is counted
+    assert _integer_inertia([[2**70, 1], [1, 0]]) == (1, 0, 1)
+    # after a pivot 2^-64 of a field whose gap is 2^-1000, S times the
+    # pivots is a minor of that field, and only its gap may certify S
+    p = 64
+    while True:
+        one, tiny = (1 << p, 1 << p, 0), (1 << p - 64, 1 << p - 64, 1)
+        m = [{0: (2**70 << p, 2**70 << p, 0), 1: one}, {0: one}, {2: tiny}]
+        if isinstance(out := _inertia(m, p, lambda u: 1000 * (u & 1)), tuple):
+            break
+        p = max(out, 2 * p)
+    assert out == (2, 0, 1) and p > 1000
+
+
+def test_integer_labels_take_one_pass(monkeypatch):
+    # 2^p 2B has integer entries when every label is 2, 3 or inf, and an
+    # integer minor is 0 or at least 1, so p = 96 certifies every zero of
+    # these and of every connected {2, 3} class to rank 7
+    passes = []
+
+    def recording(mat, p, gap):
+        passes.append(p)
+        return _inertia(mat, p, gap)
+
+    monkeypatch.setattr(classify_module, "_inertia", recording)
+    for s in (type_A(8), affine_A(7), overextended_E8(), path_system([INFINITY, 3, 3, INFINITY])):
+        passes.clear()
+        assert _inertia_fixed(s) == _sympy_signature(s) and passes == [96]
+    classes = [s for _, level in iter_levels(EnumFilter(label_set=frozenset({2, 3})), 7) for s in level]
+    assert len(classes) == 996
+    for s in classes:
+        passes.clear()
+        _inertia_fixed(s)
+        assert passes == [96]
+
+
 @pytest.mark.parametrize("w", [0, 1, 24, 88, 1000, 8216])
 def test_machin_series_brackets_pi(w):
     # the 24 guard bits of _enclosure would hide a wrong error bound here
@@ -620,7 +740,94 @@ def test_interval_engine_row_column_addition():
     assert _inertia_fixed(s) == signature(s).as_tuple == (6, 0, 2)
 
 
-# -- the elimination on integer matrices: point enclosures at p = 0 ------------
+# -- the dense oracle, and the elimination on integer matrices ----------------
+
+
+def _dense_inertia(m, p: int, divide):
+    """The index-order Bareiss loop that the sparse engine replaced, kept as
+    its oracle: inertia of a dense symmetric matrix of enclosures at scale
+    2^p, eliminated in place, or None when a sign stays open.
+
+    After k pivots every active entry is the minor bordering the k pivot
+    rows and columns, so the update (d*S[x][y] - S[x][k]*S[k][y]) / d_prev
+    divides exactly, and by Jacobi's rule the k-th pivot counts as positive
+    iff it has the sign of the one before (d_0 = 1).  When every active
+    diagonal entry vanishes, row and column j are added to row and column i
+    for the first nonzero m[i][j].  divide(x, d) divides by the last pivot.
+    """
+    active = list(range(len(m)))
+    plus = minus = zero = 0
+    d_prev, s_prev = (1 << p, 1 << p, 0), 1
+    while active:
+        for piv in active:
+            if s := _fx_sign(m[piv][piv]):
+                break
+        else:
+            block = [(i, j) for a, i in enumerate(active) for j in active[a:]]
+            signs = [_fx_sign(m[i][j]) for i, j in block]
+            if None in signs:
+                return None
+            if not any(signs):
+                zero += len(active)
+                break
+            i, j = next(ij for ij, sg in zip(block, signs) if sg)
+            for k in active:
+                m[i][k] = _fx_add(m[i][k], m[j][k])
+            for k in active:
+                m[k][i] = _fx_add(m[k][i], m[k][j])
+            piv, s = i, _fx_sign(m[i][i])
+        d = m[piv][piv]
+        if s == s_prev:
+            plus += 1
+        else:
+            minus += 1
+        rest = [k for k in active if k != piv]
+        under = d_prev if s > 0 else (-d_prev[1], -d_prev[0], d_prev[2])
+        dl, dh = (d[0], d[1]) if s > 0 else (-d[1], -d[0])
+        for ai, x in enumerate(rest):
+            for y in rest[ai:]:
+                a, b, u = m[x][y]
+                (cl, ch, cu), (el, eh, eu) = m[x][piv], m[piv][y]
+                if s < 0:
+                    cl, ch = -ch, -cl
+                dx = [v * w for v in (a, b) for w in (dl, dh)]
+                ce = [v * w for v in (cl, ch) for w in (el, eh)]
+                lo, hi = min(dx) - max(ce), max(dx) - min(ce)
+                m[x][y] = m[y][x] = divide((lo, hi, u | cu | eu | d[2]), under)
+        d_prev, s_prev = d, s
+        active = rest
+    return plus, zero, minus
+
+
+def _dense_signature(system):
+    """Signature by _dense_inertia, doubling p from 64 (0 for integer 2B)
+    while a sign stays open, with the per-entry gap of _inertia_fixed."""
+    twice_b = classify_module._TWICE_B
+    n = system.rank
+    irrational = sorted(set().union(*system.labels) - twice_b.keys())
+    hbits = n * (64 * n).bit_length()
+    p = 64 if irrational else 0
+
+    def divide(x, d):
+        lo, hi, u = x
+        c, e, v = d
+        if c < 0:
+            lo, hi, c, e = -hi, -lo, -e, -c
+        lo, hi, u = lo // (c if lo < 0 else e), -(-hi // (e if hi < 0 else c)), u | v
+        if lo <= 0 <= hi and (lo or hi):
+            L = math.lcm(*(m for k, m in enumerate(irrational) if u >> k & 1))
+            b = ((classify_module._field_degree(L) - 1) * hbits + 1) // 2
+            if p > b and -(1 << p - b) < lo and hi < 1 << p - b:
+                return (0, 0, 0)
+        return (lo, hi, u)
+
+    while True:
+        table = {m: (v << p, v << p, 0) for m, v in twice_b.items()}
+        table.update((m, (*_enclosure(m, p), 1 << k)) for k, m in enumerate(irrational))
+        mat = [[table[m] for m in row] for row in system.labels]
+        if (out := _dense_inertia(mat, p, divide)) is not None:
+            return out
+        p = 2 * p or 64
 
 
 def _exact_divide(x, d):
@@ -631,8 +838,17 @@ def _exact_divide(x, d):
     return (q, q, u | v)
 
 
+def _sparse(rows, p):
+    """rows at scale 2^p as the engine holds them: zeros left out."""
+    return [{j: (v << p, v << p, 0) for j, v in enumerate(row) if v} for row in rows]
+
+
 def _integer_inertia(rows):
-    return _inertia([[(v, v, 0) for v in row] for row in rows], 0, _exact_divide)
+    # an integer minor is 0 or at least 1, so the gap is 2^0
+    p = 64
+    while isinstance(out := _inertia(_sparse(rows, p), p, lambda u: 0), int):
+        p = max(out, 2 * p)
+    return out
 
 
 def _congruent(g, p):
@@ -679,22 +895,6 @@ def test_inertia_sylvester_invariance_under_congruence():
             assert _inertia_fixed(permuted) == (2, 1, 0)
 
 
-@pytest.mark.parametrize(
-    "system", [type_A(8), affine_A(7), overextended_E8(), path_system([INFINITY, 3, 3, INFINITY])]
-)
-def test_integer_labels_take_one_pass_at_p_zero(system, monkeypatch):
-    # 2B has integer entries when every label is 2, 3 or inf
-    passes = []
-
-    def recording(mat, p, divide):
-        passes.append(p)
-        return _inertia(mat, p, divide)
-
-    monkeypatch.setattr(classify_module, "_inertia", recording)
-    assert _inertia_fixed(system) == _sympy_signature(system)
-    assert passes == [0]
-
-
 def _charpoly_inertia(rows):
     """Inertia of a symmetric integer matrix by Descartes' rule of signs on
     its exact characteristic polynomial, as in _sympy_signature."""
@@ -732,8 +932,10 @@ def symmetric_integer_matrices(draw, max_n=5, bound=3):
 @settings(max_examples=200)
 def test_integer_bareiss_divisions_are_exact_and_match_charpoly(rows):
     # zero blocks and singular matrices come up here too; _exact_divide
-    # fails on any Bareiss division that leaves a remainder
-    assert _integer_inertia(rows) == _charpoly_inertia(rows)
+    # fails on any division of the dense oracle that leaves a remainder
+    want = _charpoly_inertia(rows)
+    assert _dense_inertia([[(v, v, 0) for v in row] for row in rows], 0, _exact_divide) == want
+    assert _integer_inertia(rows) == want
 
 
 @given(
@@ -771,18 +973,18 @@ def _enclosures(bound=1 << 70):
     return draw_one()
 
 
-def _bareiss_update(d, c, e, x):
-    """Entry (1, 2) of [[d, c, e], [c, 1, x], [e, x, 1]] after pivot 0, as
-    (lo, hi, mask) over the divisor 1, or None when the update skips it."""
-    calls = []
-
-    def divide(y, under):
-        calls.append(y if under[0] > 0 else (-y[1], -y[0], y[2]))
-        return (0, 0, 0)
-
-    one = (1, 1, 0)
-    _inertia([[d, c, e], [c, one, x], [e, x, one]], 0, divide)
-    return calls[1] if len(calls) == 3 else None
+def _schur_update(d, c, e, x):
+    """Entry (1, 2) of [[d, c, e], [c, z, x], [e, x, z]] after pivot 0, as
+    (lo, hi, mask) at scale 1, or None when it is an exact 0.  The diagonal
+    z straddles 0, so vertex 0 is the first pivot, and the pass stops or
+    pivots on 1 or 2, which leaves their own rows alone; no gap is reached."""
+    z = (-1, 1, 0)
+    m = [{0: d}, {1: z}, {2: z}]
+    for (i, j), v in (((0, 1), c), ((0, 2), e), ((1, 2), x)):
+        if v[0] or v[1]:
+            m[i][j] = m[j][i] = v
+    _inertia(m, 0, lambda u: 1 << 30)
+    return m[1].get(2) or m[2].get(1)
 
 
 @given(_enclosures(), _enclosures())
@@ -790,15 +992,16 @@ def test_fixed_point_sum_and_difference_enclose_exact_values(xv, yv):
     (x, a), (y, b) = xv, yv
     lo, hi, u = _fx_add(x, y)
     assert (lo, hi) == (x[0] + y[0], x[1] + y[1]) and lo <= a + b <= hi
-    # the Bareiss update of 1 * x - 1 * y
+    # the Schur update of x - 1 * y / 1
     one = (1, 1, 0)
-    got = _bareiss_update(one, one, y, x)
+    got = _schur_update(one, one, y, x)
+    want = (x[0] - y[1], x[1] - y[0])
     if got is None:
-        assert x[:2] == y[:2] == (0, 0)
+        assert want == (0, 0)
     else:
         lo, hi, v = got
-        assert (lo, hi) == (x[0] - y[1], x[1] - y[0]) and lo <= a - b <= hi
-        assert u == v == x[2] | y[2]
+        assert (lo, hi) == want and lo <= a - b <= hi
+        assert u == v == x[2] | y[2] or y[:2] == (0, 0)
 
 
 def _decided(bound=1 << 70):
@@ -806,18 +1009,18 @@ def _decided(bound=1 << 70):
 
 
 @given(_decided(), _enclosures(), _enclosures(), _enclosures())
-def test_fixed_point_product_is_the_exact_hull(dv, cv, ev, xv):
-    # the update d x - c e, with the pivot d of decided sign, must be the hull
-    # over all endpoint products, and skip only an exact 0
+def test_fixed_point_schur_update_is_the_rounded_hull(dv, cv, ev, xv):
+    # the update x - c e / d, with the pivot d of decided sign, must be the
+    # hull over all endpoint quotients, rounded outwards, and skip c e = 0
     (d, dp), (c, cp), (e, ep), (x, xp) = dv, cv, ev, xv
-    got = _bareiss_update(d, c, e, x)
-    if got is None:
-        assert x[:2] == (0, 0) and (c[:2] == (0, 0) or e[:2] == (0, 0))
+    got = _schur_update(d, c, e, x)
+    if c[:2] == (0, 0) or e[:2] == (0, 0):
+        assert got == (x if x[:2] != (0, 0) else None)
         return
-    dx = [s * t for s in d[:2] for t in x[:2]]
-    ce = [s * t for s in c[:2] for t in e[:2]]
-    assert got == (min(dx) - max(ce), max(dx) - min(ce), d[2] | c[2] | e[2] | x[2])
-    assert got[0] <= dp * xp - cp * ep <= got[1]
+    qs = [Fraction(s * t, q) for s in c[:2] for t in e[:2] for q in d[:2]]
+    want = (x[0] - math.ceil(max(qs)), x[1] - math.floor(min(qs)), d[2] | c[2] | e[2] | x[2])
+    assert got == (want if want[:2] != (0, 0) else None)
+    assert want[0] <= xp - Fraction(cp * ep, dp) <= want[1]
 
 
 @given(_enclosures(bound=8))
@@ -1124,6 +1327,17 @@ def test_pair_search_stops_at_the_first_total_it_cannot_beat():
     witness = is_hyperbolic(s).witness
     assert time.perf_counter() - start < 1
     assert witness == CommutingInfinitePair((0, 1, 2), (30, 31, 32))
+
+
+def test_pair_search_skips_an_I_with_no_room_for_a_J():
+    # in a complete diagram every vertex outside I neighbours it, so no J can
+    # commute with any I: every triangle of the label-3 K60 is a ~A2 (34,220
+    # minimal subsets), and every pair of the all-inf K200 is one (19,900)
+    for n, m, want in ((60, 3, AffineSubset((0, 1, 2))), (200, INFINITY, None)):
+        s = CoxeterSystem.from_edges(n, {p: m for p in combinations(range(n), 2)})
+        start = time.perf_counter()
+        assert is_hyperbolic(s).witness == want
+        assert time.perf_counter() - start < 1
 
 
 def _shifted(parts):
