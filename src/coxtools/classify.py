@@ -26,8 +26,11 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .core import (
     INFINITY,
     CoxeterSystem,
+    _parts,
+    _reach,
     _slice,
-    components,
+    _vertices,
+    is_connected,
     is_infinite_label,
 )
 
@@ -320,8 +323,9 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
 def signature(system: CoxeterSystem) -> Signature:
     """Exact signature of the cosine form, summed over connected components."""
     plus = zero = minus = 0
-    for comp in components(system):
-        sub = system if len(comp) == system.rank else _slice(system.labels, comp)
+    everything = (1 << system.rank) - 1
+    for part in _parts(system.masks, everything):
+        sub = system if part == everything else _slice(system.labels, _vertices(part))
         p, z, m = _inertia_fixed(sub)
         plus, zero, minus = plus + p, zero + z, minus + m
     return Signature(plus, zero, minus)
@@ -415,15 +419,12 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
     Anything matching no table entry is Indefinite; that catch-all is what the
     signature oracle certifies.
     """
-    labels = system.labels
-    adj = _adjacency(labels)
-    everything = (1 << len(adj)) - 1
-    if not adj or _reach(adj, everything, 1) != everything:
+    if not system.rank or not is_connected(system):
         raise ValueError("classify_irreducible needs a nonempty connected diagram")
-    return _classify_mask(labels, adj, everything)
+    return _classify_mask(system.labels, system.masks, (1 << system.rank) - 1)
 
 
-def _classify_mask(labels, adj: list[int], mask: int) -> TypeClass:
+def _classify_mask(labels, adj, mask: int) -> TypeClass:
     """The type of the connected subdiagram on the vertex bitmask mask, typed
     from masks, not slices: degrees, arms and cycles are read through the
     whole diagram's labels and neighbour masks adj."""
@@ -470,39 +471,21 @@ def _classify_mask(labels, adj: list[int], mask: int) -> TypeClass:
 
 def classify(system: CoxeterSystem) -> list[tuple[tuple[int, ...], TypeClass]]:
     """Classification of every connected component, in component order."""
-    adj = _adjacency(system.labels)
+    adj = system.masks
     parts = _parts(adj, (1 << len(adj)) - 1)
     return [(_vertices(c), _classify_mask(system.labels, adj, c)) for c in parts]
 
 
-def _parts(adj: list[int], mask: int) -> Iterator[int]:
-    """The components of the subdiagram on mask, by least vertex."""
-    while mask:
-        comp = _reach(adj, mask, mask & -mask)
-        mask ^= comp
-        yield comp
-
-
-def _vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _facet_types(system: CoxeterSystem) -> Iterator[TypeClass]:
     """Type of every component of every vertex-deleted subdiagram."""
-    labels = system.labels
-    adj = _adjacency(labels)
+    labels, adj = system.labels, system.masks
     everything = (1 << len(adj)) - 1
     for v in range(len(adj)):
         for comp in _parts(adj, everything ^ 1 << v):
             yield _classify_mask(labels, adj, comp)
 
 
-def _types_through_last(labels, adj: list[int]) -> Iterator[TypeClass]:
+def _types_through_last(labels, adj) -> Iterator[TypeClass]:
     """Type of the component through the last vertex v of every subdiagram
     with one other vertex deleted, from the labels and neighbour masks adj.
 
@@ -513,30 +496,6 @@ def _types_through_last(labels, adj: list[int]) -> Iterator[TypeClass]:
     everything = (1 << n) - 1
     for u in range(n - 1):
         yield _classify_mask(labels, adj, _reach(adj, everything ^ 1 << u, 1 << n - 1))
-
-
-def _adjacency(labels) -> list[int]:
-    """Neighbour bitmask of every vertex."""
-    out = []
-    for i, row in enumerate(labels):
-        mask = 0
-        for j, m in enumerate(row):
-            if m != 2:
-                mask |= 1 << j
-        out.append(mask ^ (1 << i))  # the diagonal label 1 set bit i
-    return out
-
-
-def _reach(adj: list[int], mask: int, start: int) -> int:
-    """Bitmask of the vertices of mask reachable inside it from start."""
-    seen = frontier = start
-    while frontier:
-        v = frontier.bit_length() - 1
-        frontier ^= 1 << v
-        new = adj[v] & mask & ~seen
-        seen |= new
-        frontier |= new
-    return seen
 
 
 # -- derived predicates --------------------------------------------------------
@@ -582,7 +541,7 @@ def is_k_spherical(system: CoxeterSystem, k: int) -> bool:
     if any(INFINITY in row for row in labels):
         return k == 1
     if k == 3:
-        adj = _adjacency(labels)
+        adj = system.masks
         tops = [sorted(m - 2 for m in row if m > 2)[-2:] for row in labels]
         triangle = any(adj[a] & around for around in adj for a in _vertices(around))
         return not triangle and all(len(t) < 2 or t[0] * t[1] < 4 for t in tops)
@@ -621,7 +580,7 @@ class _SphericalClosure:
 
     def __init__(self, system: CoxeterSystem):
         self.labels = system.labels
-        self.adj = _adjacency(self.labels)
+        self.adj = system.masks
         self.minimal: list[tuple[tuple[int, ...], int, Optional[TypeClass]]] = []
         self.known: dict[int, int] = {}
         # the next level to walk, of connected spherical sets of size self.size

@@ -25,7 +25,6 @@ from .catalog import name_rank, standard_system
 from .classify import (
     classify,
     has_affine_parabolic,
-    is_spherical,
     kazhdan_threshold,
     max_spherical_rank,
     minimal_infinite_subsets,
@@ -193,7 +192,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
             }
             for subset, tc in parts
         ],
-        "spherical": is_spherical(system),
+        "spherical": all(tc.is_spherical for _, tc in parts),
     }
     lines = [f"rank {system.rank}, {len(parts)} component(s)"]
     for subset, tc in parts:

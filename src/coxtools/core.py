@@ -2,14 +2,17 @@
 
 A Coxeter system (W, S) is encoded by the matrix m(s, t) of pairwise orders:
 1 on the diagonal, an integer >= 2 or infinity off it.  The diagram has an edge
-between s and t exactly when m(s, t) >= 3, labeled by m(s, t).
+between s and t exactly when m(s, t) >= 3, labeled by m(s, t).  Each system
+keeps its neighbour bitmasks, built once, and every component walk and subset
+scan of it reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 INFINITY = math.inf
 
@@ -42,6 +45,22 @@ class CoxeterSystem:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmask of every vertex, built on first use.  It is a
+        cache, kept out of equality, hashing, repr and pickles."""
+        out = []
+        for i, row in enumerate(self.labels):
+            mask = 0
+            for j, m in enumerate(row):
+                if m != 2:
+                    mask |= 1 << j
+            out.append(mask ^ (1 << i))  # the diagonal label 1 set bit i
+        return tuple(out)
+
+    def __getstate__(self) -> dict:
+        return {"labels": self.labels}
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Label]]) -> "CoxeterSystem":
@@ -153,31 +172,45 @@ def restrict(system: CoxeterSystem, subset: Iterable[int]) -> CoxeterSystem:
     return _slice(system.labels, _check_subset(system, subset))
 
 
+def _reach(masks, mask: int, start: int) -> int:
+    """Bitmask of the vertices of mask reachable inside it from start."""
+    seen = frontier = start
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        new = masks[v] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _parts(masks, mask: int) -> Iterator[int]:
+    """The components of the subdiagram on mask, by least vertex."""
+    while mask:
+        comp = _reach(masks, mask, mask & -mask)
+        mask ^= comp
+        yield comp
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def components(system: CoxeterSystem) -> list[tuple[int, ...]]:
     """Connected components of the diagram, each sorted, ordered by smallest member."""
-    n = system.rank
-    seen = [False] * n
-    out: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if not seen[w] and system.labels[v][w] != 2 and v != w:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [_vertices(c) for c in _parts(system.masks, (1 << system.rank) - 1)]
 
 
 def is_connected(system: CoxeterSystem) -> bool:
     """Vacuously true for the rank-0 system."""
-    return len(components(system)) <= 1
+    everything = (1 << system.rank) - 1
+    return not everything or _reach(system.masks, everything, 1) == everything
 
 
 def is_simply_laced(system: CoxeterSystem) -> bool:

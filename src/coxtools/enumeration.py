@@ -61,15 +61,14 @@ from .core import (
     INFINITY,
     CoxeterSystem,
     Label,
+    _reach,
     _valid_label,
     is_connected,
     is_infinite_label,
     label_sort_key,
 )
 from .classify import (
-    _adjacency,
     _facet_types,
-    _reach,
     _types_through_last,
     classify,
     is_k_spherical,
@@ -524,7 +523,7 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> li
     return [tuple(labels[q] for q in vec) for vec in vecs]
 
 
-def _child(enc: list[list[int]], adj: list[int], twin_id: list[int], col: list[int]):
+def _child(enc: list[list[int]], adj: tuple[int, ...], twin_id: list[int], col: list[int]):
     """The encoded rows and masks of the child that adds v, with encoded
     labels col, to a parent with rows enc, masks adj and twin classes
     twin_id, and a function giving its twin classes: the parent's split by
@@ -547,8 +546,9 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     parent whose new vertex lies in their canonical deletion orbit, as sorted
     canonical codes.
 
-    The parent's encoded rows, masks and twin classes are built once, and
-    _child derives each child's, whose masks the facet test reads too.
+    The parent's encoded rows and twin classes are built once, its masks
+    are read from the system, and _child derives each child's, whose masks
+    the facet test reads too.
     _label_vectors lists one vector per orbit of the parent's twin swaps.
     Vectors swapped by any other automorphism of the parent give isomorphic
     children and one code, so the codes are deduplicated here; no other
@@ -556,7 +556,7 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     """
     code = {1: 0} | {m: _enc_label(m) for m in filt.effective_labels()}
     enc = [[code[m] for m in row] for row in parent.labels]
-    adj = _adjacency(parent.labels)
+    adj = parent.masks
     twin_id = _twins(enc)
     out = set()
     for vec in _label_vectors(parent, filt, twin_id):

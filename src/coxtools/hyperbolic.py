@@ -15,6 +15,7 @@ from typing import Optional, Union
 from .core import (
     CoxeterSystem,
     _check_subset,
+    _vertices,
     is_connected,
     is_crystallographic,
     is_simply_laced,
@@ -169,11 +170,6 @@ def _shortest_bridge(
     Multi-source BFS with index-ordered expansion, so the chosen path is
     deterministic.
     """
-    n = system.rank
-    adj = [
-        sorted(j for j in range(n) if j != i and system.labels[i][j] != 2)
-        for i in range(n)
-    ]
     target = set(J)
     parent: dict[int, int] = {v: -1 for v in I}
     queue = deque(sorted(I))
@@ -184,7 +180,7 @@ def _shortest_bridge(
             while parent[path[-1]] != -1:
                 path.append(parent[path[-1]])
             return tuple(reversed(path))
-        for w in adj[v]:
+        for w in _vertices(system.masks[v]):
             if w not in parent:
                 parent[w] = v
                 queue.append(w)

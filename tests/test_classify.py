@@ -67,7 +67,7 @@ from coxtools.classify import (
     _pi,
 )
 from coxtools.cli import MAX_RANK
-from coxtools.core import components
+from coxtools.core import _reach, components
 from coxtools.enumeration import EnumFilter, canonical_code, iter_levels
 from conftest import coxeter_systems
 
@@ -235,7 +235,7 @@ def _edge_list_type(system):
 
 def _assert_mask_type_matches_edge_list(system, mask):
     labels = system.labels
-    got = classify_module._classify_mask(labels, classify_module._adjacency(labels), mask)
+    got = classify_module._classify_mask(labels, system.masks, mask)
     want = _edge_list_type(restrict(system, [v for v in range(system.rank) if mask >> v & 1]))
     assert (got.kind, got.name, got.aliases) == (want.kind, want.name, want.aliases), mask
     return got
@@ -256,9 +256,8 @@ def typer_systems(draw, max_rank=9):
 @settings(max_examples=150)
 def test_mask_typer_matches_the_edge_list_recognizer(s):
     # every connected vertex set, contiguous or not
-    adj = classify_module._adjacency(s.labels)
     for mask in range(1, 1 << s.rank):
-        if classify_module._reach(adj, mask, mask & -mask) == mask:
+        if _reach(s.masks, mask, mask & -mask) == mask:
             _assert_mask_type_matches_edge_list(s, mask)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -9,20 +10,28 @@ import pytest
 
 from coxtools import (
     INFINITY,
+    AffineSubset,
+    CommutingInfinitePair,
     CoxeterSystem,
     Report,
     UndecidedSignature,
+    classify,
+    has_affine_parabolic,
     is_hyperbolic,
+    is_spherical,
     kazhdan_threshold,
+    label_text,
     max_spherical_rank,
     minimal_infinite_subsets,
     standard_system,
+    validate_witness,
 )
 from coxtools.catalog import name_rank
 from coxtools.cli import MAX_RANK, DiagramParseError, main, parse_diagram, render_diagram
 from conftest import coxeter_systems
 
-from hypothesis import given, settings
+from coxtools.report import system_payload
+from hypothesis import given, settings, strategies as st
 
 
 # -- parsing -------------------------------------------------------------------
@@ -461,3 +470,135 @@ def test_many_small_components_answer_within_a_second(text, rank, monkeypatch, c
         else:
             assert payload["max_spherical_rank"] == rank
             assert payload["minimal_infinite"] == []
+
+
+# -- the exit-code contract, as a standing property -------------------------------
+
+
+def _call(argv, text):
+    """main(argv) in-process on stdin text, with its exit code, stdout and stderr."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+_QUERIES = ("classify", "hyperbolic", "parabolics", "threshold")
+_BIG_LABELS = (2**61 - 1, 2**200)
+
+# grammar pieces; every rank or subscript they can form is small or above
+# MAX_RANK, so an accepted diagram answers fast
+_NAMES = st.builds(
+    "{}{}".format,
+    st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "H", "I", "~A", "~B", "~C", "~D",
+                     "~E", "~F", "~G", "Z", "B/C"]),
+    st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 1001, 99999999999]),
+)
+_SMALL = st.integers(min_value=0, max_value=14).map(str)
+_PIECES = st.one_of(
+    st.sampled_from(["rank:", "edge:", "type:", "inf", "#", "# note", ":", "-1", "x", "²",
+                     "٣", "1001", "99999999999", *map(str, _BIG_LABELS)]),
+    _SMALL,
+    _NAMES,
+)
+
+
+@st.composite
+def token_texts(draw):
+    """Diagram text from grammar pieces: a rank and edges or a type line,
+    then up to three lines inserted or tokens replaced or deleted."""
+    if draw(st.booleans()):
+        lines = [["type:", draw(_NAMES)]]
+    else:
+        n = draw(st.integers(min_value=0, max_value=12))
+        lines = [["rank:", str(n)]]
+        labels = st.sampled_from(["3", "4", "5", "6", "8", "inf", *map(str, _BIG_LABELS)])
+        for i in range(n - 1):
+            for j in draw(st.sets(st.integers(min_value=i + 1, max_value=n - 1), max_size=2)):
+                lines.append(["edge:", str(i), str(j), draw(labels)])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        line = lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+        at = draw(st.integers(min_value=0, max_value=len(line)))
+        edit = draw(st.sampled_from(["line", "replace", "delete"]))
+        if edit == "line":
+            lines.insert(at % (len(lines) + 1), draw(st.lists(_PIECES, max_size=5)))
+        elif edit == "replace" and at < len(line):
+            line[at] = draw(_PIECES)
+        elif at < len(line):
+            del line[at]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@given(st.sampled_from(_QUERIES), token_texts())
+@settings(max_examples=300)
+def test_query_commands_exit_zero_or_two_on_any_token_string(command, text):
+    code, _, err = _call([command, "--stdin", "--format", "json"], text)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
+@st.composite
+def query_diagrams(draw):
+    """Rank 0 to 12, drawn sparse often enough that paths, forks and cycles
+    come up, with labels 3 to 8, inf and two far beyond any table."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pool = [2] * draw(st.sampled_from([2, 8, 24, 64])) + [3, 3, 4, 5, 6, 7, 8, INFINITY]
+    labels = st.sampled_from(pool + list(_BIG_LABELS))
+    edges = {(i, j): draw(labels) for i in range(n) for j in range(i + 1, n)}
+    return CoxeterSystem.from_edges(n, {ij: m for ij, m in edges.items() if m != 2})
+
+
+def _witness_from_payload(w):
+    if w is None:
+        return None
+    if w["kind"] == "affine_subset":
+        return AffineSubset(tuple(w["subset"]))
+    assert w["kind"] == "commuting_infinite_pair"
+    return CommutingInfinitePair(tuple(w["left"]), tuple(w["right"]))
+
+
+@given(query_diagrams())
+@settings(max_examples=80)
+def test_query_commands_answer_well_formed_diagrams_as_the_library(s):
+    text = f"rank: {s.rank}\n" + "".join(f"edge: {i} {j} {label_text(m)}\n" for i, j, m in s.edges())
+    got = {}
+    for command in _QUERIES:
+        code, out, err = _call([command, "--stdin", "--format", "json"], text)
+        if command == "threshold" and s.rank == 0:  # no generator: an input error
+            assert code == 2 and err.startswith("error:")
+            with pytest.raises(ValueError):
+                kazhdan_threshold(s)
+            continue
+        assert code == 0, err
+        got[command] = json.loads(out)
+        assert got[command]["diagram"] == system_payload(s)
+    parts = classify(s)
+    assert got["classify"]["components"] == [
+        {"vertices": list(v), "type": t.kind, "name": t.name, "aliases": list(t.aliases)}
+        for v, t in parts
+    ]
+    assert got["classify"]["spherical"] is is_spherical(s)
+    verdict = is_hyperbolic(s)
+    witness = _witness_from_payload(got["hyperbolic"]["witness"])
+    assert got["hyperbolic"]["verdict"] == ("hyperbolic" if verdict.hyperbolic else "not_hyperbolic")
+    assert witness == verdict.witness
+    assert verdict.hyperbolic or validate_witness(s, witness)
+    aff = has_affine_parabolic(s)
+    assert got["parabolics"] == {
+        "diagram": system_payload(s),
+        "max_spherical_rank": max_spherical_rank(s),
+        "minimal_infinite": [list(m) for m in minimal_infinite_subsets(s)],
+        "affine_parabolic": None if aff is None else list(aff),
+    }
+    if s.rank:
+        res = kazhdan_threshold(s)
+        assert got["threshold"] == {
+            "diagram": system_payload(s),
+            "d": res.d,
+            "bound": {"numerator": res.bound.numerator, "denominator": res.bound.denominator},
+            "q": res.q,
+        }

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,14 +7,20 @@ from hypothesis import given, strategies as st
 from coxtools import (
     INFINITY,
     CoxeterSystem,
+    classify,
     components,
     is_connected,
     is_crystallographic,
+    is_hyperbolic,
     is_simply_laced,
+    kazhdan_threshold,
     label_text,
     restrict,
+    signature,
     validate,
+    validate_witness,
 )
+from coxtools.classify import _closure
 from conftest import coxeter_systems, permuted
 
 
@@ -137,3 +144,39 @@ def test_components_partition_the_vertex_set(s):
                     reached.add(v)
                     frontier.append(v)
         assert reached == set(comp)
+
+
+@given(coxeter_systems(min_rank=0))
+def test_masks_mark_the_diagram_neighbours(s):
+    want = [sum(1 << j for j in range(s.rank) if j != i and s.label(i, j) != 2) for i in range(s.rank)]
+    assert s.masks == tuple(want)
+
+
+def test_masks_are_built_once_and_stay_out_of_identity_and_pickles(monkeypatch):
+    # ~A2, an inf bond and a lone vertex: three components, and a commuting
+    # infinite pair as the witness
+    s = CoxeterSystem.from_edges(6, {(0, 1): 3, (1, 2): 3, (0, 2): 3, (3, 4): INFINITY})
+    fresh = CoxeterSystem.from_edges(6, {(0, 1): 3, (1, 2): 3, (0, 2): 3, (3, 4): INFINITY})
+    prop = CoxeterSystem.__dict__["masks"]
+    build, built = prop.func, []
+
+    def spy(system):
+        built.append(system)
+        return build(system)
+
+    monkeypatch.setattr(prop, "func", spy)
+    _closure.cache_clear()  # so the walk reads these masks, not a cached walk's
+    assert [v for v, _ in classify(s)] == [(0, 1, 2), (3, 4), (5,)]
+    assert signature(s).as_tuple == (4, 2, 0)
+    verdict = is_hyperbolic(s)
+    assert not verdict.hyperbolic and validate_witness(s, verdict.witness)
+    assert kazhdan_threshold(s).d == 4
+    assert components(s) == [(0, 1, 2), (3, 4), (5,)] and not is_connected(s)
+    assert len(built) == 1 and built[0] is s  # no scan builds masks on a copy either
+
+    assert "masks" in vars(s) and "masks" not in vars(fresh)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert pickle.dumps(s) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and "masks" not in vars(copy)
+    assert copy.masks == s.masks

@@ -32,7 +32,7 @@ from coxtools import (
 )
 from coxtools.catalog import affine_A, overextended_E8, type_A
 from coxtools import enumeration
-from coxtools.classify import _adjacency, classify
+from coxtools.classify import classify
 from coxtools.enumeration import (
     _child,
     _deletion_code,
@@ -351,7 +351,7 @@ def encode(s: CoxeterSystem) -> list[list[int]]:
 
 def deletion_code(s: CoxeterSystem, v: int, connected_only: bool):
     enc = encode(s)
-    return _deletion_code(enc, _adjacency(s.labels), lambda: _twins(enc), v, connected_only)
+    return _deletion_code(enc, s.masks, lambda: _twins(enc), v, connected_only)
 
 
 def deletion_orbit(s: CoxeterSystem, connected_only: bool) -> list[int]:
@@ -861,9 +861,9 @@ def test_child_state_is_derived_from_the_parent(drawn):
     )
     enc = encode(parent)
     col = [_enc_label(m) for m in vec]
-    rows, masks, twins = _child(enc, _adjacency(parent.labels), _twins(enc), col)
+    rows, masks, twins = _child(enc, parent.masks, _twins(enc), col)
     assert rows == encode(child)
-    assert masks == _adjacency(child.labels)
+    assert tuple(masks) == child.masks
     assert twins() == _twins(encode(child))
 
 
