@@ -31,13 +31,19 @@ component through v of each facet classified; every other component of a
 facet lies in the parent.  Under k_spherical 3 or 4 they settle the whole
 rule from rank 3 on.  EnumFilter.admits stays the standalone check.
 
-The label vectors are also listed only up to the parent's twin swaps
-(orderly generation, Read, Ann. Discrete Math. 2, 1978): inside each class of
-twins, vertices with the same label to every other vertex, the labels to v
-do not decrease.  A twin swap of the parent extends to an isomorphism of the
-two children that fixes v, so both give the same canonical deletion answer
-and code.  Only automorphisms of the parent beyond twin swaps still give
-duplicate codes, which each parent's expansion drops.
+The label vectors are also listed only up to the parent's automorphisms,
+which extend to isomorphisms of the two children that fix v, so both would
+give the same canonical deletion answer and code.  The twin swaps, of
+vertices with the same label to every other vertex, are divided out in the
+depth-first assignment (orderly generation, Read, Ann. Discrete Math. 2,
+1978): inside each twin class the labels to v do not decrease.  From rank 4,
+where an automorphism need not be a twin swap, the parent's own level search
+gives its least vertex orders; the automorphisms mapping one onto the others
+generate the rest of the group, and a vector is kept only if none of them
+maps it to a lexicographically smaller one (McKay's extensions up to the
+parent's automorphism group).  So no two children of one parent are
+isomorphic by a map fixing v, and no kept code repeats: of two children
+isomorphic by a map moving v, at most one has v in its deletion orbit.
 
 A child is derived from its parent's encoded state, built once per parent:
 rows plus one column, neighbour masks plus the bits of v, which the facet
@@ -54,6 +60,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, combinations
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -106,12 +113,11 @@ def _twins(rows: list[list]) -> list[int]:
 
 
 def _level_search(
-    enc: list[list[int]], twin_id: list[int], orbits: bool = False
-) -> tuple[bytes, Optional[tuple[list[int], list[int]]]]:
+    enc: list[list[int]], twin_id: list[int], with_orders: bool = False
+) -> tuple[bytes, Optional[list[list[int]]]]:
     """The canonical code of encoded rows enc (canonical_code's, or a child's
     derived from its parent by _child) with twin classes twin_id and, if
-    orbits is set, the automorphism orbit of every vertex (as its least
-    member) and of every position of the least vertex orders.
+    with_orders is set, the least vertex orders the search keeps to the end.
 
     The code is the rank byte, then the lexicographically least
     column-by-column label encoding over all vertex orders.  A column packs
@@ -127,15 +133,17 @@ def _level_search(
     first cell with no earlier twin there: unplaced twins share a cell, and
     one stands for all.
 
-    Every least order is then a kept one with some twins swapped, so two
-    vertices share an orbit exactly when a chain of twin pairs and of kept
-    orders placing them at one position joins them.  For that the search
-    records, per position, each extension as (index of the order it
-    extends, vertex placed), and walks back from the orders kept at the end.
+    So a kept order places each twin class in increasing order, and every
+    least order is a kept one with some twins swapped: no two kept orders
+    differ by twin swaps alone, and the automorphisms mapping the first kept
+    order onto the others generate, with the twin swaps, the whole
+    automorphism group.  To list the kept orders the search records,
+    per position, each extension as (index of the order it extends, vertex
+    placed), and walks back from the orders kept at the end.
     """
     n = len(enc)
     if n < 2:
-        return bytes([n]), ((list(range(n)), list(range(n))) if orbits else None)
+        return bytes([n]), ([list(range(n))] if with_orders else None)
     bits = [1 << u for u in range(n)]
     groups: list[dict[int, int]] = [{} for _ in enc]
     for v, row in enumerate(enc):
@@ -189,20 +197,30 @@ def _level_search(
             extended.append(cells)
         orders = extended
     code_bytes = b"".join(code)
-    if not orbits:
+    if not with_orders:
         return code_bytes, None
+    kept = []
+    for end in range(len(orders)):
+        i, order = end, []
+        for steps in reversed(trail):
+            i, v = steps[i]
+            order.append(v)
+        kept.append(order[::-1])
+    return code_bytes, kept
 
-    columns = []
-    alive = range(len(orders))
-    for steps in reversed(trail):
-        columns.append({steps[i][1] for i in alive})
-        alive = {steps[i][0] for i in alive}
+
+def _orbits(twin_id: list[int], orders: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The automorphism orbit of every vertex (as its least member) and of
+    every position, from the twin classes twin_id and the kept least orders
+    of _level_search: two vertices share an orbit exactly when a chain of
+    twin pairs and of kept orders placing them at one position joins them.
+    """
     orbit = twin_id
-    for column in columns:
+    for column in zip(*orders):
         merged = {orbit[u] for u in column}
         rep = min(merged)
         orbit = [rep if x in merged else x for x in orbit]
-    return code_bytes, (orbit, [orbit[min(column)] for column in reversed(columns)])
+    return orbit, [orbit[u] for u in orders[0]]
 
 
 def canonical_code(system: CoxeterSystem) -> bytes:
@@ -256,7 +274,9 @@ def _deletion_code(
     tied = [u for u in equal if eligible(u)]
     if not tied:
         return _level_search(enc, twins())[0]
-    code, (orbit, by_position) = _level_search(enc, twins(), orbits=True)
+    twin_id = twins()
+    code, orders = _level_search(enc, twin_id, with_orders=True)
+    orbit, by_position = _orbits(twin_id, orders)
     candidates = {orbit[u] for u in tied + [v]}
     first = next(o for o in by_position if o in candidates)
     return code if first == orbit[v] else None
@@ -478,19 +498,30 @@ def _kind_table(labels: tuple, kinds: frozenset, size: int) -> Callable:
     return table
 
 
-def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> list[tuple]:
-    """The label vectors of a new vertex v, one per orbit of the swaps of the
-    parent twins twin_id, with no triple {a, b, v} or 4-subset {a, b, c, v}
-    that the size-3 or size-4 _subset_table rejects.
+def _label_vectors(
+    parent: CoxeterSystem, filt: EnumFilter, twin_id: list, orders: list
+) -> list[tuple]:
+    """The label vectors of a new vertex v, one per orbit of the parent's
+    automorphism group, with no triple {a, b, v} or 4-subset {a, b, c, v}
+    that the size-3 or size-4 _subset_table rejects.  The group is generated
+    by the swaps of the parent twins twin_id and by the automorphisms mapping
+    orders[0] onto each other of the parent's least vertex orders (none
+    when orders holds at most one).
 
     They are assigned depth-first, and a prefix is dropped as soon as it
     fixes a rejected subset or gives a vertex a label before (in
     filt.effective_labels() order) that of an earlier twin: inside each twin
     class the labels do not decrease.  When position c is assigned, the
     triples {a, c, v} and 4-subsets {a, b, c, v} with a < b < c are fixed;
-    the mask rows of each are fetched once per position.  The tables and the
-    twin swaps keep each other's vectors, so this lists exactly the sorted
-    member of every orbit of the admissible vectors.
+    the mask rows of each are fetched once per position.  A vector is then
+    kept only if no image under an automorphism from the orders comes before
+    it (comparing label indices).  The twin swaps are normal in the group,
+    so every member of an orbit is such an image with twins swapped; and the
+    level search keeps only orders that place each twin class in increasing
+    order, so these automorphisms map every twin class increasingly onto its
+    image, and the image of a sorted vector is sorted.  The tables and the automorphisms
+    keep each other's vectors, so this lists exactly the least member of
+    every orbit of the admissible vectors.
     """
     labels = filt.effective_labels()
     n = parent.rank
@@ -520,6 +551,9 @@ def _label_vectors(parent: CoxeterSystem, filt: EnumFilter, twin_id: list) -> li
                 allowed &= everything << vec[twin]
             nxt.extend(vec + (q,) for q in range(len(labels)) if allowed >> q & 1)
         vecs = nxt
+    if len(orders) > 1:
+        moves = [itemgetter(*[b for _, b in sorted(zip(orders[0], o))]) for o in orders[1:]]
+        vecs = [vec for vec in vecs if all(move(vec) >= vec for move in moves)]
     return [tuple(labels[q] for q in vec) for vec in vecs]
 
 
@@ -546,28 +580,27 @@ def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
     parent whose new vertex lies in their canonical deletion orbit, as sorted
     canonical codes.
 
-    The parent's encoded rows and twin classes are built once, its masks
-    are read from the system, and _child derives each child's, whose masks
-    the facet test reads too.
-    _label_vectors lists one vector per orbit of the parent's twin swaps.
-    Vectors swapped by any other automorphism of the parent give isomorphic
-    children and one code, so the codes are deduplicated here; no other
-    parent gives any of them.
+    The parent's encoded rows, twin classes and, from rank 4, least vertex
+    orders (one level search) are built once, its masks are read from the
+    system, and _child derives each child's, whose masks the facet test
+    reads too.  Below rank 4 every automorphism is a twin swap.
+    _label_vectors lists one vector per orbit of the parent's automorphism
+    group, so no kept code repeats, and no other parent gives any of them.
     """
     code = {1: 0} | {m: _enc_label(m) for m in filt.effective_labels()}
     enc = [[code[m] for m in row] for row in parent.labels]
     adj = parent.masks
     twin_id = _twins(enc)
-    out = set()
-    for vec in _label_vectors(parent, filt, twin_id):
+    orders = _level_search(enc, twin_id, with_orders=True)[1] if len(enc) >= 4 else []
+    out = []
+    for vec in _label_vectors(parent, filt, twin_id, orders):
         # a new vertex joined to nothing leaves a nonempty parent disconnected
         if filt.connected_only and enc and all(m == 2 for m in vec):
             continue
         rows, masks, twins = _child(enc, adj, twin_id, [code[m] for m in vec])
         if filt._admits_extension(parent, vec, masks):
-            out.add(_deletion_code(rows, masks, twins, parent.rank, filt.connected_only))
-    out.discard(None)
-    return sorted(out)
+            out.append(_deletion_code(rows, masks, twins, parent.rank, filt.connected_only))
+    return sorted(c for c in out if c is not None)
 
 
 def iter_levels(

@@ -30,7 +30,7 @@ from coxtools import (
     system_from_code,
     worker_map,
 )
-from coxtools.catalog import affine_A, overextended_E8, type_A
+from coxtools.catalog import affine_A, overextended_E8, standard_system, type_A
 from coxtools import enumeration
 from coxtools.classify import classify
 from coxtools.enumeration import (
@@ -39,6 +39,7 @@ from coxtools.enumeration import (
     _enc_label,
     _expand_parent,
     _level_search,
+    _orbits,
     _subset_table,
     _twins,
 )
@@ -334,15 +335,20 @@ def test_canonical_codes_sort_by_rank_first():
 # -- canonical deletion ---------------------------------------------------------
 
 
-def brute_force_orbits(s: CoxeterSystem) -> set[frozenset]:
-    """The vertex orbits of the group of label-preserving vertex permutations."""
+def automorphisms(s: CoxeterSystem) -> list[tuple]:
+    """Every label-preserving vertex permutation of s, by brute force."""
     n = s.rank
-    autos = [
+    return [
         p
         for p in permutations(range(n))
         if all(s.labels[p[i]][p[j]] == s.labels[i][j] for i in range(n) for j in range(i))
     ]
-    return {frozenset(p[v] for p in autos) for v in range(n)}
+
+
+def brute_force_orbits(s: CoxeterSystem) -> set[frozenset]:
+    """The vertex orbits of the group of label-preserving vertex permutations."""
+    autos = automorphisms(s)
+    return {frozenset(p[v] for p in autos) for v in range(s.rank)}
 
 
 def encode(s: CoxeterSystem) -> list[list[int]]:
@@ -363,7 +369,8 @@ def deletion_orbit(s: CoxeterSystem, connected_only: bool) -> list[int]:
 def test_level_search_orbits_are_the_automorphism_orbits(s):
     n = s.rank
     enc = encode(s)
-    code, (orbit, by_position) = _level_search(enc, _twins(enc), orbits=True)
+    code, orders = _level_search(enc, _twins(enc), with_orders=True)
+    orbit, by_position = _orbits(_twins(enc), orders)
     assert code == canonical_code(s)
     found = {frozenset(u for u in range(n) if orbit[u] == orbit[v]) for v in range(n)}
     assert found == brute_force_orbits(s)
@@ -380,7 +387,7 @@ def test_level_search_orbits_are_the_automorphism_orbits(s):
             assert [orbit[v] for v in p] == by_position
 
 
-def dict_level_search(enc, twin_id, orbits=False):
+def dict_level_search(enc, twin_id, with_orders=False):
     """The level search as it was before it kept ordered cells: every least
     vertex order is a dict from each unplaced vertex to the column it would
     add next, and every extension by a vertex adding the least column, once
@@ -407,19 +414,16 @@ def dict_level_search(enc, twin_id, orbits=False):
         trail.append(steps)
         orders = extended
     code_bytes = b"".join(code)
-    if not orbits:
+    if not with_orders:
         return code_bytes, None
-    columns = []
-    alive = range(len(orders))
-    for steps in reversed(trail):
-        columns.append({steps[i][1] for i in alive})
-        alive = {steps[i][0] for i in alive}
-    orbit = twin_id
-    for column in columns:
-        merged = {orbit[u] for u in column}
-        rep = min(merged)
-        orbit = [rep if x in merged else x for x in orbit]
-    return code_bytes, (orbit, [orbit[min(column)] for column in reversed(columns)])
+    kept = []
+    for end in range(len(orders)):
+        i, order = end, []
+        for steps in reversed(trail):
+            i, v = steps[i]
+            order.append(v)
+        kept.append(order[::-1])
+    return code_bytes, kept
 
 
 @st.composite
@@ -439,8 +443,8 @@ def tied_systems(draw, max_rank=9):
 def check_against_dict_search(s: CoxeterSystem) -> None:
     enc = encode(s)
     twin_id = _twins(enc)
-    want = dict_level_search(enc, twin_id, orbits=True)
-    assert _level_search(enc, twin_id, orbits=True) == want
+    want = dict_level_search(enc, twin_id, with_orders=True)
+    assert _level_search(enc, twin_id, with_orders=True) == want
     assert _level_search(enc, twin_id) == (want[0], None)
 
 
@@ -480,7 +484,7 @@ def test_level_search_tries_one_vertex_per_twin_class(s):
     enc = encode(s)
     tracemalloc.start()
     try:
-        _level_search(enc, _twins(enc), orbits=True)
+        _level_search(enc, _twins(enc), with_orders=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,6 +769,33 @@ def test_expand_parent_gives_each_class_to_one_parent():
             assert set(kept) == found, (filt, rank)
 
 
+@pytest.mark.parametrize(
+    "filt, max_rank",
+    [
+        (EnumFilter(label_set=frozenset({2, 3})), 7),
+        (EnumFilter(label_set=frozenset({2, 3, 4}), **_PROPER), 7),
+    ],
+    ids=["23", "quasi-minimal-234"],
+)
+def test_no_parent_repeats_a_code(filt, max_rank, monkeypatch):
+    # a child isomorphic to a sibling through a parent automorphism would
+    # repeat the sibling's deletion code; the spy sees every code a parent's
+    # expansion keeps before it is sorted
+    codes: dict[tuple, list[bytes]] = {}
+    real = enumeration._deletion_code
+
+    def spy(enc, *args):
+        code = real(enc, *args)
+        if code is not None:
+            codes.setdefault(tuple(tuple(row[:-1]) for row in enc[:-1]), []).append(code)
+        return code
+
+    monkeypatch.setattr(enumeration, "_deletion_code", spy)
+    classes = sum(len(level) for _, level in iter_levels(filt, max_rank))
+    assert sum(map(len, codes.values())) == classes
+    assert all(len(kept) == len(set(kept)) for kept in codes.values())
+
+
 @pytest.mark.parametrize("connected_only", [True, False])
 def test_facets_are_classified_only_from_child_rank_six(connected_only, monkeypatch):
     # below rank 6 every proper subset through the new vertex is a vertex, a
@@ -782,51 +813,99 @@ def test_facets_are_classified_only_from_child_rank_six(connected_only, monkeypa
     assert ranks and min(ranks) == 6
 
 
-def twin_swap_orbits(parent: CoxeterSystem, vecs) -> list[set]:
-    """The orbits of vecs under the swaps of two vertices of parent that are
-    automorphisms, by closing each vector under them."""
-    n = parent.rank
-    swaps = []
-    for u, v in combinations(range(n), 2):
-        p = list(range(n))
-        p[u], p[v] = v, u
-        if permuted(parent, p).labels == parent.labels:
-            swaps.append((u, v))
+def automorphism_orbits(parent: CoxeterSystem, vecs) -> list[set]:
+    """The orbits of vecs under the automorphisms of parent, each vector
+    moved to its image under every one of them."""
+    autos = automorphisms(parent)
     orbits, seen = [], set()
     for vec in vecs:
-        if vec in seen:
-            continue
-        orbit, todo = {vec}, [vec]
-        while todo:
-            w = list(todo.pop())
-            for u, v in swaps:
-                w[u], w[v] = w[v], w[u]
-                if tuple(w) not in orbit:
-                    orbit.add(tuple(w))
-                    todo.append(tuple(w))
-                w[u], w[v] = w[v], w[u]
-        seen |= orbit
-        orbits.append(orbit)
+        if vec not in seen:
+            orbit = {tuple(vec[u] for u in p) for p in autos}
+            seen |= orbit
+            orbits.append(orbit)
     return orbits
 
 
+def check_one_vector_per_orbit(parent: CoxeterSystem, filt: EnumFilter) -> None:
+    # the least member of every orbit, comparing label indices
+    index = {m: q for q, m in enumerate(filt.effective_labels())}
+    enc = encode(parent)
+    twin_id = _twins(enc)
+    orders = _level_search(enc, twin_id, with_orders=True)[1]
+    kept = enumeration._label_vectors(parent, filt, twin_id, orders)
+    unpruned = enumeration._label_vectors(parent, filt, list(range(parent.rank)), [])
+    assert len(kept) == len(set(kept)) and set(kept) <= set(unpruned), (filt, parent)
+    orbits = automorphism_orbits(parent, unpruned)
+    assert set().union(*orbits) == set(unpruned), (filt, parent)
+    least = {min(orbit, key=lambda vec: [index[m] for m in vec]) for orbit in orbits}
+    assert set(kept) == least, (filt, parent)
+
+
 @pytest.mark.parametrize(
-    "parent",
+    "parent, max_labels",
     [
-        CoxeterSystem.from_edges(4, {}),
-        CoxeterSystem.from_edges(5, {(0, v): 3 for v in range(1, 5)}),
-        CoxeterSystem.from_edges(5, {(a, b): 3 for a in range(2) for b in range(2, 5)}),
+        (CoxeterSystem.from_edges(4, {}), None),
+        (CoxeterSystem.from_edges(5, {(0, v): 3 for v in range(1, 5)}), None),
+        (CoxeterSystem.from_edges(5, {(a, b): 3 for a in range(2) for b in range(2, 5)}), None),
+        (type_A(5), None),
+        (affine_A(5), None),
+        (standard_system("E6"), 4),
+        (standard_system("~E6"), 4),
+        (standard_system("~D5"), 4),
     ],
-    ids=["edgeless", "star", "K23"],
+    ids=["edgeless", "star", "K23", "A5", "~A5", "E6", "~E6", "~D5"],
 )
-def test_label_vectors_keep_one_per_twin_swap_orbit(parent):
+def test_label_vectors_keep_one_per_automorphism_orbit(parent, max_labels):
+    # beyond the twin swaps: the flip of a path, the dihedral group of a
+    # cycle, the flips of E6 and ~E6 (S3 on its arms) and the end swap of ~D5.
+    # On the rank-6 and rank-7 parents only the filters with at most four
+    # labels run, which keeps the unpruned lists small (7^7 vectors for ~E6)
     for filt, _ in EXPANSION_SCOPES:
-        kept = enumeration._label_vectors(parent, filt, _twins(parent.labels))
-        unpruned = enumeration._label_vectors(parent, filt, list(range(parent.rank)))
-        assert len(kept) == len(set(kept)) and set(kept) <= set(unpruned), filt
-        orbits = twin_swap_orbits(parent, unpruned)
-        assert set().union(*orbits) == set(unpruned), filt
-        assert all(len(orbit & set(kept)) == 1 for orbit in orbits), filt
+        if max_labels is None or len(filt.effective_labels()) <= max_labels:
+            check_one_vector_per_orbit(parent, filt)
+
+
+@pytest.mark.parametrize("scope", range(len(EXPANSION_SCOPES)))
+def test_label_vectors_keep_one_per_orbit_on_the_oracle_parents(scope):
+    filt = EXPANSION_SCOPES[scope][0]
+    for parent in oracle_parents(scope):
+        check_one_vector_per_orbit(parent, filt)
+
+
+def group_closure(gens: list[tuple], n: int) -> set[tuple]:
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(p[g[u]] for u in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+@given(tied_systems(max_rank=6))
+@settings(max_examples=300)
+def test_least_orders_and_twin_swaps_generate_the_automorphism_group(s):
+    n = s.rank
+    enc = encode(s)
+    twin_id = _twins(enc)
+    orders = _level_search(enc, twin_id, with_orders=True)[1]
+    # each twin class in increasing order, so _label_vectors needs no re-sort
+    for order in orders:
+        assert all(twin_id[u] != twin_id[v] or u < v for u, v in combinations(order, 2))
+    gens = []
+    for order in orders[1:]:
+        p = [0] * n
+        for a, b in zip(orders[0], order):
+            p[a] = b
+        gens.append(tuple(p))
+    for u, v in combinations(range(n), 2):
+        if twin_id[u] == twin_id[v]:
+            p = list(range(n))
+            p[u], p[v] = v, u
+            gens.append(tuple(p))
+    assert group_closure(gens, n) == set(automorphisms(s))
 
 
 @st.composite
@@ -958,7 +1037,7 @@ def test_label_vectors_keep_every_admitted_vector(scope):
     for parent in oracle_parents(scope):
         if not 4 <= parent.rank <= 6:
             continue
-        kept = set(enumeration._label_vectors(parent, filt, list(range(parent.rank))))
+        kept = set(enumeration._label_vectors(parent, filt, list(range(parent.rank)), []))
         rows = [list(row) for row in parent.labels]
         for vec in product(filt.effective_labels(), repeat=parent.rank):
             child = CoxeterSystem.from_rows(
