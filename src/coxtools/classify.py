@@ -13,6 +13,10 @@ Two independent engines:
 
 The recognizer is the primary engine; the signature is an oracle used to
 cross-check it (a table transcription error cannot survive both).
+
+Both remember small diagrams per process, in plain dicts keyed by the flat
+upper-triangle labels in ascending vertex order: 3- and 4-vertex types and
+rank 1-3 signatures, up to _MEMO_CAP entries each, never evicting.
 """
 
 from __future__ import annotations
@@ -100,6 +104,23 @@ class UndecidedSignature(Exception):
     """Never raised: the fixed-point engine decides every sign.  Kept because
     perfbench's queries workload catches it and its self-test raises it; it
     goes with the benchmark change that drops both."""
+
+
+_MEMO_CAP = 1024
+_TYPES: dict[tuple, TypeClass] = {}
+_SIGNATURES: dict[tuple, Signature] = {}
+
+
+def _memo(memo: dict, labels, verts, fill, *args):
+    """memo's answer for the labels m(a, b), a < b in verts, else fill(*args),
+    kept while memo has room.  Equal keys are the same labelled diagram, vertex
+    order included, so one answer serves every vertex set with that key."""
+    key = tuple(labels[a][b] for a, b in combinations(verts, 2))
+    if (got := memo.get(key)) is None:
+        got = fill(*args)
+        if len(memo) < _MEMO_CAP:
+            memo[key] = got
+    return got
 
 
 # -- the signature engine: 2B on integer enclosures scaled by 2^p ---------------
@@ -322,6 +343,12 @@ def _inertia_fixed(system: CoxeterSystem) -> tuple[int, int, int]:
 
 def signature(system: CoxeterSystem) -> Signature:
     """Exact signature of the cosine form, summed over connected components."""
+    if 0 < system.rank <= 3:
+        return _memo(_SIGNATURES, system.labels, range(system.rank), _signature, system)
+    return _signature(system)
+
+
+def _signature(system: CoxeterSystem) -> Signature:
     plus = zero = minus = 0
     everything = (1 << system.rank) - 1
     for part in _parts(system.masks, everything):
@@ -427,8 +454,14 @@ def classify_irreducible(system: CoxeterSystem) -> TypeClass:
 def _classify_mask(labels, adj, mask: int) -> TypeClass:
     """The type of the connected subdiagram on the vertex bitmask mask, typed
     from masks, not slices: degrees, arms and cycles are read through the
-    whole diagram's labels and neighbour masks adj."""
+    whole diagram's labels and neighbour masks adj; 3 or 4 vertices by _TYPES."""
     verts = _vertices(mask)
+    if 3 <= len(verts) <= 4:
+        return _memo(_TYPES, labels, verts, _table_type, labels, adj, verts, mask)
+    return _table_type(labels, adj, verts, mask)
+
+
+def _table_type(labels, adj, verts: tuple[int, ...], mask: int) -> TypeClass:
     n = len(verts)
     if n <= 2:
         return _classify_rank2(labels[verts[0]][verts[1]]) if n == 2 else _sph("A1")
@@ -506,10 +539,10 @@ def _small_spherical(labels, verts) -> bool:
     are typed from masks, not slices, by _classify_mask.
 
     The label test is kept because it is the hot path of every subset scan:
-    sending ranks 2 and 3 through the tables made the sweep-criterion
-    benchmark pass about twice as slow.  Two bonds p, q form a path, which is
-    spherical when (p-2)(q-2) < 4 (an inf bond makes the product inf); three
-    form a triangle, which is never spherical."""
+    through the tables, ranks 2 and 3 made the sweep-criterion benchmark pass
+    about twice as slow, and through _TYPES no faster.  Two bonds p, q form a
+    path, which is spherical when (p-2)(q-2) < 4 (an inf bond makes the
+    product inf); three form a triangle, which is never spherical."""
     bonds = [m for i, j in combinations(verts, 2) if (m := labels[i][j]) != 2]
     if len(bonds) == 2:
         p, q = bonds
@@ -571,11 +604,11 @@ class _SphericalClosure:
     upto, and a later walk() goes on from that level.  known maps every
     connected spherical set of a walked level to its diagram neighbours, in
     walk order.  minimal lists the minimal infinite subsets in (size, lex)
-    order as (vertices, mask, type), with type None until the walk or affine
-    classifies the subset; affine stores every type it classifies, so no
-    subset is classified twice.  The worst case stays exponential: with
-    every label inf the only connected spherical sets are the vertices, and
-    max_rank is the size of a maximum independent set.
+    order as (vertices, mask, type), with type None on the sets of at most
+    three vertices that the label test decides; affine types those, a triple
+    through _TYPES.  The worst case stays exponential: with every label inf
+    the only connected spherical sets are the vertices, and max_rank is the
+    size of a maximum independent set.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -697,14 +730,11 @@ class _SphericalClosure:
         Every irreducible affine diagram is minimal infinite, so these are
         the affine members of minimal.
         """
-        for i, (verts, mask, t) in enumerate(self.walk().minimal):
-            if len(verts) < start:
-                continue
-            if t is None:
-                t = _classify_mask(self.labels, self.adj, mask)
-                self.minimal[i] = (verts, mask, t)
-            if t.is_affine:
-                yield verts, t
+        for verts, mask, t in self.walk().minimal:
+            if len(verts) >= start:
+                t = t or _classify_mask(self.labels, self.adj, mask)
+                if t.is_affine:
+                    yield verts, t
 
 
 # The only way to get a walk.  One entry suffices because scans of one diagram

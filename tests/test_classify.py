@@ -6,7 +6,7 @@ import random
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
 
 import mpmath
 import numpy as np
@@ -73,6 +73,20 @@ from conftest import coxeter_systems
 
 # the package exports a function named classify, which hides the module
 classify_module = importlib.import_module("coxtools.classify")
+
+
+def _clear_memos():
+    classify_module._TYPES.clear()
+    classify_module._SIGNATURES.clear()
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty type and signature memos before and after the test, so that a
+    test sees what its patched engine computes, whatever ran before it."""
+    _clear_memos()
+    yield
+    _clear_memos()
 
 
 # -- pattern tables, one entry per family and rank regime ------------------
@@ -537,7 +551,7 @@ def test_formerly_undecided_235inf_classes_match_sympy():
         ),
     ],
 )
-def test_gap_is_taken_per_entry(system, want, monkeypatch):
+def test_gap_is_taken_per_entry(system, want, monkeypatch, cold_memos):
     def bounded(m, p):
         assert p <= 512, f"precision escalated to {p} bits"
         return _enclosure(m, p)
@@ -578,7 +592,7 @@ def _mpmath_signature(system, dps=60):
         (path_system([INFINITY, 7, 8, INFINITY]), (3, 1, 1)),
     ],
 )
-def test_precision_jumps_to_the_gap(system, want, monkeypatch):
+def test_precision_jumps_to_the_gap(system, want, monkeypatch, cold_memos):
     # the kernel of each needs the gap of Q(cos(pi/140)) or Q(cos(pi/56)),
     # about 2100 and 520 bits: the pass after p = 96 goes straight there
     # instead of doubling through 7 or 5 passes
@@ -653,7 +667,7 @@ def test_zero_certificate_counts_every_pivot():
     assert out == (2, 0, 1) and p > 1000
 
 
-def test_integer_labels_take_one_pass(monkeypatch):
+def test_integer_labels_take_one_pass(monkeypatch, cold_memos):
     # 2^p 2B has integer entries when every label is 2, 3 or inf, and an
     # integer minor is 0 or at least 1, so p = 96 certifies every zero of
     # these and of every connected {2, 3} class to rank 7
@@ -1155,7 +1169,7 @@ _CACHED_SCANS = {
 @settings(max_examples=150)
 def test_scan_answers_do_not_depend_on_call_order(s, other, data):
     # each scan of s in a drawn order, sometimes followed by a scan of other,
-    # so the cache holds whatever types the previous scans stored
+    # so the closure cache holds whatever the previous scans walked
     names = sorted(_CACHED_SCANS)
     calls = []
     for name in data.draw(st.permutations(names)):
@@ -1166,6 +1180,111 @@ def test_scan_answers_do_not_depend_on_call_order(s, other, data):
     for (name, system), answer in zip(calls, answers):
         classify_module._closure.cache_clear()
         assert answer == _CACHED_SCANS[name](system), name
+
+
+MEMO_TYPE_LABELS = (2, 3, 4, 5, 6, INFINITY, 2**61 - 1)
+
+
+def _neighbour_masks(rows):
+    return [
+        sum(1 << j for j, m in enumerate(row) if j != i and m != 2) for i, row in enumerate(rows)
+    ]
+
+
+def test_type_memo_matches_the_tables(cold_memos):
+    # every connected labelled diagram on 3 or 4 vertices is memoized from a
+    # copy at the vertices spots of a rank-7 diagram whose other vertices
+    # join every vertex by a 3, then read back on the diagram alone
+    types = classify_module._TYPES
+    for n, spots in ((3, (1, 3, 4)), (4, (0, 2, 5, 6))):
+        pairs = list(combinations(range(n), 2))
+        whole, spot_mask = (1 << n) - 1, sum(1 << v for v in spots)
+        rows = [[1] * n for _ in range(n)]
+        big = [[1 if i == j else 3 for j in range(7)] for i in range(7)]
+        for vec in product(MEMO_TYPE_LABELS, repeat=len(pairs)):
+            for (i, j), m in zip(pairs, vec):
+                rows[i][j] = rows[j][i] = big[spots[i]][spots[j]] = big[spots[j]][spots[i]] = m
+            masks = _neighbour_masks(rows)
+            if _reach(masks, whole, 1) != whole:
+                continue
+            types.clear()
+            filled = classify_module._classify_mask(big, _neighbour_masks(big), spot_mask)
+            assert list(types) == [vec]
+            got = classify_module._classify_mask(rows, masks, whole)
+            want = classify_module._table_type(rows, masks, tuple(range(n)), whole)
+            assert got is filled
+            assert (got.kind, got.name, got.aliases) == (want.kind, want.name, want.aliases), vec
+
+
+def test_signature_memo_matches_the_engine(cold_memos):
+    # every system of rank 1 to 3: the answer that fills the memo and the
+    # one read back for an equal system both equal the per-component engine
+    systems = [
+        (vec, CoxeterSystem.from_edges(n, dict(zip(pairs, vec))))
+        for n in (1, 2, 3)
+        for pairs in [list(combinations(range(n), 2))]
+        for vec in product((2, 3, 4, 5, 6, 7, INFINITY), repeat=len(pairs))
+    ]
+    assert len(systems) == 1 + 7 + 7**3
+    for vec, s in systems:
+        want = [0, 0, 0]
+        for comp in components(s):
+            want = [a + b for a, b in zip(want, _inertia_fixed(restrict(s, comp)))]
+        filled = signature(s)
+        assert classify_module._SIGNATURES[vec] is filled
+        assert signature(CoxeterSystem(s.labels)) is filled
+        assert filled.as_tuple == tuple(want), vec
+    # rank 0 has the key of rank 1 and stays out of the memo
+    assert signature(CoxeterSystem.empty()).as_tuple == (0, 0, 0)
+
+
+def _memo_answers(s):
+    verdict = is_hyperbolic(s)
+    return (
+        [(c, t.kind, t.name, t.aliases) for c, t in classify(s)],
+        signature(s),
+        verdict.hyperbolic,
+        verdict.witness,
+        minimal_infinite_subsets(s),
+        kazhdan_threshold(s),
+    )
+
+
+def test_answers_do_not_depend_on_the_memos(cold_memos):
+    # a seeded stream of random diagrams, answered with the memos filling as
+    # they go, then each again with both memos and the closure cleared
+    rng = random.Random(28)
+    systems = []
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = {
+            ij: rng.choice((3, 4, 5, 6, 7, INFINITY))
+            for ij in combinations(range(n), 2)
+            if rng.random() < 0.4
+        }
+        systems.append(CoxeterSystem.from_edges(n, edges))
+    warm = [_memo_answers(s) for s in systems]
+    assert classify_module._TYPES and classify_module._SIGNATURES
+    for s, want in zip(systems, warm):
+        _clear_memos()
+        classify_module._closure.cache_clear()
+        assert _memo_answers(CoxeterSystem(s.labels)) == want, s
+
+
+def test_full_memos_stay_at_their_cap_and_answer_right(cold_memos):
+    # paths 3, m with fresh labels m: indefinite, of signature (2, 0, 1) from
+    # m = 7 on, each a new key of both memos; those past the cap are not kept
+    cap = classify_module._MEMO_CAP
+    for m in range(7, 7 + cap + 100):
+        s = path_system([3, m])
+        assert classify_irreducible(s) == classify_module.INDEFINITE
+        assert signature(s).as_tuple == (2, 0, 1)
+    assert len(classify_module._TYPES) == len(classify_module._SIGNATURES) == cap
+    assert (3, 2, 7 + cap) not in classify_module._TYPES
+    for _ in range(2):  # a key the full memos lack, answered twice
+        assert classify_irreducible(affine_G2()).name == "~G2"
+        assert signature(affine_G2()).as_tuple == (2, 1, 0)
+    assert len(classify_module._TYPES) == len(classify_module._SIGNATURES) == cap
 
 
 def test_disconnected_set_with_spherical_facets_is_spherical():
