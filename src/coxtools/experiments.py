@@ -3,14 +3,16 @@
 Each campaign walks every isomorphism class in a declared scope, evaluates a
 claim instance by instance, and packs the outcome into a content-addressed
 Report.  A campaign passes only if every instance does; failures carry the
-offending diagrams so they can be replayed by hand.
+offending diagrams so they can be replayed by hand.  In affine-criterion and
+engine-agreement a class's row is the names of the per-rank counters it sets,
+and only a failing class also builds its payload.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import CoxeterSystem, is_crystallographic, is_simply_laced
 from .classify import (
@@ -24,11 +26,41 @@ from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
 
 _MODE_CAPS = {"simply-laced": 7, "3-spherical-crystallographic": 6}
+_CRITERION_COUNTERS = ("in_hypothesis", "hyperbolic", "inconsistent")
 
 
-def _criterion_row(system: CoxeterSystem) -> dict:
+def _sweep(
+    campaign: str, parameters: dict, filt: EnumFilter, jobs: int, row: Callable,
+    counters: tuple[str, ...], claim: str,
+) -> Report:
+    """The one-claim report of row over each class filt admits up to
+    parameters["max_rank"]: row gives a class's counter names and its failing
+    row or None, and the last counter counts the failures and keys their rows."""
+    t0 = time.monotonic()
+    per_rank: dict[str, dict[str, int]] = {}
+    bad: list[dict] = []
+    with worker_map(jobs) as imap:
+        for k, level in iter_levels(filt, parameters["max_rank"], imap):
+            counts = dict.fromkeys(counters, 0) | {"classes": len(level)}
+            for names, failing in imap(row, level):
+                for name in names:
+                    counts[name] += 1
+                if failing is not None:
+                    bad.append(failing)
+            per_rank[str(k)] = counts
+    claims = [{"claim": claim, "passed": not bad, "details": {counters[-1]: bad}}]
+    results = {"per_rank": per_rank, "claims": claims}
+    duration = time.monotonic() - t0
+    return Report(campaign, parameters, results, duration_seconds=duration, jobs=jobs)
+
+
+def _criterion_row(system: CoxeterSystem) -> tuple[tuple[str, ...], Optional[dict]]:
     chk = check_affine_criterion(system)
-    return {
+    flags = (chk.hypotheses_ok, chk.hyperbolic, not chk.consistent)
+    names = tuple(name for name, on in zip(_CRITERION_COUNTERS, flags) if on)
+    if chk.consistent:
+        return names, None
+    return names, {
         "system": system_payload(system),
         "in_hypothesis": chk.hypotheses_ok,
         "hyperbolic": chk.hyperbolic,
@@ -58,38 +90,14 @@ def verify_affine_criterion(
         filt = EnumFilter(label_set=frozenset({2, 3}))
     else:
         filt = EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3)
-    t0 = time.monotonic()
-    per_rank: dict[str, dict[str, int]] = {}
-    bad: list[dict] = []
-    with worker_map(jobs) as imap:
-        for k, level in iter_levels(filt, max_rank, imap):
-            rows = list(imap(_criterion_row, level))
-            per_rank[str(k)] = {
-                "classes": len(rows),
-                "in_hypothesis": sum(1 for r in rows if r["in_hypothesis"]),
-                "hyperbolic": sum(1 for r in rows if r["hyperbolic"]),
-                "inconsistent": sum(1 for r in rows if not r["consistent"]),
-            }
-            bad.extend(r for r in rows if not r["consistent"])
-
-    claims = [
-        {
-            "claim": "hyperbolicity matches the affine-parabolic criterion on "
-            "every in-hypothesis class",
-            "passed": not bad,
-            "details": {"inconsistent": bad},
-        }
-    ]
-    return Report(
-        campaign="affine-criterion",
-        parameters={"mode": mode, "max_rank": max_rank, "filter": filt.payload()},
-        results={"per_rank": per_rank, "claims": claims},
-        duration_seconds=time.monotonic() - t0,
-        jobs=jobs,
+    parameters = {"mode": mode, "max_rank": max_rank, "filter": filt.payload()}
+    claim = "hyperbolicity matches the affine-parabolic criterion on every in-hypothesis class"
+    return _sweep(
+        "affine-criterion", parameters, filt, jobs, _criterion_row, _CRITERION_COUNTERS, claim
     )
 
 
-def _agreement_row(system: CoxeterSystem) -> dict:
+def _agreement_row(system: CoxeterSystem) -> tuple[tuple[str, ...], Optional[dict]]:
     tc = classify_irreducible(system)
     sig = signature(system)
     n = system.rank
@@ -99,7 +107,9 @@ def _agreement_row(system: CoxeterSystem) -> dict:
         ok = sig.as_tuple == (n - 1, 1, 0)
     else:
         ok = sig.n_minus >= 1
-    return {
+    if ok:
+        return (), None
+    return ("disagreements",), {
         "system": system_payload(system),
         "pattern": str(tc),
         "signature": list(sig.as_tuple),
@@ -117,31 +127,10 @@ def verify_engine_agreement(
     if max_rank > 8:
         raise ValueError("engine agreement is capped at rank 8")
     filt = EnumFilter(label_set=frozenset(label_set))
-    t0 = time.monotonic()
-    per_rank: dict[str, dict[str, int]] = {}
-    bad: list[dict] = []
-    with worker_map(jobs) as imap:
-        for k, level in iter_levels(filt, max_rank, imap):
-            rows = list(imap(_agreement_row, level))
-            per_rank[str(k)] = {
-                "classes": len(rows),
-                "disagreements": sum(1 for r in rows if not r["agree"]),
-            }
-            bad.extend(r for r in rows if not r["agree"])
-
-    claims = [
-        {
-            "claim": "pattern and signature engines agree on every class",
-            "passed": not bad,
-            "details": {"disagreements": bad},
-        }
-    ]
-    return Report(
-        campaign="engine-agreement",
-        parameters={"max_rank": max_rank, "filter": filt.payload()},
-        results={"per_rank": per_rank, "claims": claims},
-        duration_seconds=time.monotonic() - t0,
-        jobs=jobs,
+    parameters = {"max_rank": max_rank, "filter": filt.payload()}
+    claim = "pattern and signature engines agree on every class"
+    return _sweep(
+        "engine-agreement", parameters, filt, jobs, _agreement_row, ("disagreements",), claim
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,8 @@ from coxtools import (
     verify_engine_agreement,
     verify_size_bounds,
 )
-from coxtools import enumeration
+from coxtools import enumeration, experiments
+from coxtools.classify import Signature
 from coxtools.report import TOOL_VERSION, system_payload
 from coxtools.catalog import affine_G2
 
@@ -134,6 +136,89 @@ def test_campaigns_are_deterministic_across_jobs():
     b = verify_size_bounds(6, frozenset({2, 3}), jobs=3)
     assert a.canonical_json() == b.canonical_json()
     assert a.content_hash() == b.content_hash()
+
+
+# -- failing classes -------------------------------------------------------------
+#
+# Each campaign is made to fail on one chosen rank-4 class of {2,3}: the
+# engine-agreement one by a wrong signature for D4, the affine-criterion one
+# by an inconsistent check for ~A3.  The patch is in place before the pool
+# forks, so the workers see it too.
+
+D4 = {"rank": 4, "edges": [[0, 3, 3], [1, 3, 3], [2, 3, 3]]}
+AFFINE_A3 = {"rank": 4, "edges": [[0, 2, 3], [0, 3, 3], [1, 2, 3], [1, 3, 3]]}
+
+
+def _failing_agreement(monkeypatch, jobs):
+    real = experiments.signature
+
+    def wrong_for_d4(system):
+        return Signature(3, 1, 0) if system_payload(system) == D4 else real(system)
+
+    monkeypatch.setattr(experiments, "signature", wrong_for_d4)
+    return verify_engine_agreement(5, frozenset({2, 3}), jobs=jobs)
+
+
+def _failing_criterion(monkeypatch, jobs):
+    real = experiments.check_affine_criterion
+
+    def inconsistent_for_affine_a3(system):
+        chk = real(system)
+        if system_payload(system) == AFFINE_A3:
+            return replace(chk, consistent=False)
+        return chk
+
+    monkeypatch.setattr(experiments, "check_affine_criterion", inconsistent_for_affine_a3)
+    return verify_affine_criterion("simply-laced", 5, jobs=jobs)
+
+
+FAILING_SCOPES = {
+    "engine-agreement": (
+        _failing_agreement,
+        "disagreements",
+        {"system": D4, "pattern": "D4", "signature": [3, 1, 0], "agree": False},
+    ),
+    "affine-criterion": (
+        _failing_criterion,
+        "inconsistent",
+        {
+            "system": AFFINE_A3,
+            "in_hypothesis": True,
+            "hyperbolic": False,
+            "has_affine": True,
+            "consistent": False,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(FAILING_SCOPES))
+def test_one_failing_class_fails_the_campaign(campaign, monkeypatch):
+    run, counter, row = FAILING_SCOPES[campaign]
+    texts = []
+    for jobs in (1, 2):
+        rep = run(monkeypatch, jobs)
+        assert not rep.passed()
+        per = rep.results["per_rank"]
+        assert [per[str(k)][counter] for k in range(1, 6)] == [0, 0, 0, 1, 0]
+        (claim,) = rep.results["claims"]
+        assert claim["details"] == {counter: [row]}
+        texts.append(rep.canonical_json())
+    assert texts[0] == texts[1]
+
+
+def test_passing_classes_build_no_payload(monkeypatch):
+    calls = []
+    real = experiments.system_payload
+
+    def counting_payload(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(experiments, "system_payload", counting_payload)
+    assert verify_engine_agreement(5, frozenset({2, 3})).passed()
+    assert verify_affine_criterion("simply-laced", 5).passed()
+    assert calls == []
 
 
 # -- pinned report hashes -------------------------------------------------------
