@@ -36,8 +36,9 @@ which extend to isomorphisms of the two children that fix v, so both would
 give the same canonical deletion answer and code.  The twin swaps, of
 vertices with the same label to every other vertex, are divided out in the
 depth-first assignment (orderly generation, Read, Ann. Discrete Math. 2,
-1978): inside each twin class the labels to v do not decrease.  From rank 4,
-where an automorphism need not be a twin swap, the parent's own level search
+1978): inside each twin class the labels to v do not decrease.  Unless the
+parent's vertices of one deletion invariant always lie in one twin class,
+when the twin swaps are the whole group, the parent's own level search
 gives its least vertex orders; the automorphisms mapping one onto the others
 generate the rest of the group, and a vector is kept only if none of them
 maps it to a lexicographically smaller one (McKay's extensions up to the
@@ -47,14 +48,22 @@ isomorphic by a map moving v, at most one has v in its deletion orbit.
 
 A child is derived from its parent's encoded state, built once per parent:
 rows plus one column, neighbour masks plus the bits of v, which the facet
-test reads too, and twin classes, computed only for a level search, split by
-the labels to v.  The level search for a canonical code holds the unplaced
+test reads too, and twin classes, computed only on a tie in the deletion
+test or for a level search, split by the labels to v.  The level search for a canonical code holds the unplaced
 vertices of each least vertex order as cells sorted by their next column, and
 builds only the orders still least at the next position.
+
+A canonical code is needed only by a level that is extended, or shown: the
+deletion test needs the least orders only to settle a tie of v with an
+eligible vertex outside its twin class.  So the per-class campaigns, which
+never extend or show their top level, take it from a private variant of
+iter_levels that keeps each top-level child in parent order, encoded in its
+own vertex order, and runs a level search there only for such a tie.
 """
 
 from __future__ import annotations
 
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
@@ -233,20 +242,42 @@ def canonical_code(system: CoxeterSystem) -> bytes:
     return _level_search(enc, _twins(enc))[0]
 
 
+def _invariant(enc: list[list[int]], deg: list[int], u: int) -> tuple:
+    """Vertex u's isomorphism invariant in encoded rows enc with degrees deg:
+    its degree, then the sorted (encoded label, neighbour degree) pairs."""
+    # a neighbour w has enc[u][w] other than 2 and the diagonal's 0
+    return deg[u], tuple(sorted([(c, deg[w]) for w, c in enumerate(enc[u]) if c != 2 and c]))
+
+
+def _only_twin_swaps(enc: list[list[int]], adj: tuple[int, ...], twin_id: list[int]) -> bool:
+    """Whether encoded rows enc with masks adj and twin classes twin_id have
+    no vertices of one _invariant outside one twin class.  An automorphism
+    keeps the invariant, so it then keeps every twin class: the twin swaps
+    are the whole automorphism group."""
+    deg = [mask.bit_count() for mask in adj]
+    first: dict[tuple, int] = {}
+    return all(
+        first.setdefault(_invariant(enc, deg, u), t) == t for u, t in enumerate(twin_id)
+    )
+
+
 def _deletion_code(
-    enc: list[list[int]], adj: list[int], twins: Callable, v: int, connected_only: bool
+    enc: list[list[int]], adj: list[int], twins: Callable, v: int, connected_only: bool,
+    own: Optional[bytes] = None,
 ) -> Optional[bytes]:
     """The canonical code of encoded rows enc with masks adj (a child's, from
-    _child) if vertex v lies in its canonical deletion orbit, else None.
+    _child) if vertex v lies in its canonical deletion orbit, else None; or,
+    given own, the rows' code in their own vertex order, own in its place.
 
     The orbit is picked in three isomorphism-invariant steps: the eligible
     vertices (the non-cut ones under connected_only, else all), of these the
-    ones with the largest invariant (degree, then the sorted (encoded label,
-    neighbour degree) pairs), and of these the orbit of the one placed first
-    by the least orders.  The answer is None as soon as an eligible vertex
-    beats v; only a level search asks twins() for the twin classes, and it
-    searches the least orders for their orbits only when other eligible
-    vertices tie with v.
+    ones with the largest _invariant, and of these the orbit of the one
+    placed first by the least orders.  The answer is None as soon as an
+    eligible vertex beats v.  Twins share an orbit, so the least orders and
+    their orbits are searched only for an eligible tie outside v's twin
+    class.  Without one, v is in the orbit, and a level search runs only for
+    the canonical code, never when own is given.  twins() gives the twin
+    classes, asked for only on a tie or for a level search.
     """
     n = len(enc)
     deg = [mask.bit_count() for mask in adj]
@@ -256,15 +287,11 @@ def _deletion_code(
         rest = full ^ (1 << u)
         return not connected_only or not rest or _reach(adj, rest, rest & -rest) == rest
 
-    def invariant(u: int) -> tuple:
-        # a neighbour w has enc[u][w] other than 2 and the diagonal's 0
-        return deg[u], sorted([(c, deg[w]) for w, c in enumerate(enc[u]) if c != 2 and c])
-
-    top = invariant(v)
+    top = _invariant(enc, deg, v)
     equal = []
     for u in range(n):
         if u != v and deg[u] >= deg[v]:
-            key = invariant(u)
+            key = _invariant(enc, deg, u)
             if key > top and eligible(u):
                 return None
             if key == top:
@@ -272,21 +299,33 @@ def _deletion_code(
     if not eligible(v):
         return None
     tied = [u for u in equal if eligible(u)]
-    if not tied:
-        return _level_search(enc, twins())[0]
+    if own and not tied:
+        return own
     twin_id = twins()
+    tied = [u for u in tied if twin_id[u] != twin_id[v]]
+    if not tied:
+        return own or _level_search(enc, twin_id)[0]
     code, orders = _level_search(enc, twin_id, with_orders=True)
     orbit, by_position = _orbits(twin_id, orders)
     candidates = {orbit[u] for u in tied + [v]}
     first = next(o for o in by_position if o in candidates)
-    return code if first == orbit[v] else None
+    return (own or code) if first == orbit[v] else None
+
+
+def _pack(values: list[int]) -> bytes:
+    """Encoded labels as code bytes, 16 bits each, big-endian."""
+    return struct.pack(f">{len(values)}H", *values)
 
 
 def system_from_code(code: bytes) -> CoxeterSystem:
-    """Decode a canonical code back into the representative it encodes."""
+    """Decode a code back into the system it encodes: the representative, for
+    a canonical code; the child in parent order, for _expand_parent's own
+    codes (the parent's columns, then the new vertex's)."""
     n = code[0] if code else 0
-    vals = [int.from_bytes(code[i : i + 2], "big") for i in range(1, len(code), 2)]
-    if not code or len(code) != 1 + n * (n - 1) or any(x < 2 for x in vals):
+    if not code or len(code) != 1 + n * (n - 1):
+        raise ValueError("malformed code")
+    vals = struct.unpack(f">{len(code) // 2}H", code[1:])
+    if any(x < 2 for x in vals):
         raise ValueError("malformed code")
     mat: list[list[Label]] = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     pos = 0
@@ -575,32 +614,59 @@ def _child(enc: list[list[int]], adj: tuple[int, ...], twin_id: list[int], col: 
     return [row + [c] for row, c in zip(enc, col)] + [col + [0]], masks + [mask], twins
 
 
-def _expand_parent(parent: CoxeterSystem, filt: EnumFilter) -> list[bytes]:
+def _expand_parent(parent: CoxeterSystem, filt: EnumFilter, canonical: bool = True) -> list[bytes]:
     """The admissible one-vertex extensions of one admitted, extendable
     parent whose new vertex lies in their canonical deletion orbit, as sorted
-    canonical codes.
+    canonical codes, or, unless canonical, as sorted codes of the children in
+    their own vertex order (the parent's, then the new vertex).
 
-    The parent's encoded rows, twin classes and, from rank 4, least vertex
-    orders (one level search) are built once, its masks are read from the
-    system, and _child derives each child's, whose masks the facet test
-    reads too.  Below rank 4 every automorphism is a twin swap.
-    _label_vectors lists one vector per orbit of the parent's automorphism
-    group, so no kept code repeats, and no other parent gives any of them.
+    The parent's encoded rows, twin classes and least vertex orders (one
+    level search, skipped when _only_twin_swaps holds) are built once, its
+    masks are read from the system, and _child derives each child's, whose
+    masks the facet test reads too.  _label_vectors lists one vector per
+    orbit of the parent's automorphism group, so no kept code repeats, and
+    no other parent gives any of them.
     """
     code = {1: 0} | {m: _enc_label(m) for m in filt.effective_labels()}
     enc = [[code[m] for m in row] for row in parent.labels]
     adj = parent.masks
     twin_id = _twins(enc)
-    orders = _level_search(enc, twin_id, with_orders=True)[1] if len(enc) >= 4 else []
+    orders = []
+    if not _only_twin_swaps(enc, adj, twin_id):
+        orders = _level_search(enc, twin_id, with_orders=True)[1]
+    # a child's code in its own order: the parent's columns, then col
+    head = bytes([len(enc) + 1]) + b"".join(_pack(row[:k]) for k, row in enumerate(enc))
     out = []
     for vec in _label_vectors(parent, filt, twin_id, orders):
         # a new vertex joined to nothing leaves a nonempty parent disconnected
         if filt.connected_only and enc and all(m == 2 for m in vec):
             continue
-        rows, masks, twins = _child(enc, adj, twin_id, [code[m] for m in vec])
+        col = [code[m] for m in vec]
+        rows, masks, twins = _child(enc, adj, twin_id, col)
         if filt._admits_extension(parent, vec, masks):
-            out.append(_deletion_code(rows, masks, twins, parent.rank, filt.connected_only))
+            own = None if canonical else head + _pack(col)
+            out.append(_deletion_code(rows, masks, twins, parent.rank, filt.connected_only, own))
     return sorted(c for c in out if c is not None)
+
+
+def _levels(
+    filt: EnumFilter, max_rank: int, imap: Callable, canonical_top: bool
+) -> Iterator[tuple[int, list[CoxeterSystem]]]:
+    """iter_levels, except that unless canonical_top is set, the top level
+    holds each class's representative in parent order: the canonical
+    representative of its parent with the new vertex added last, sorted by
+    that order's code.  A level search then runs for a top-level child only
+    to settle a tie in its deletion test.
+    """
+    if not 0 <= max_rank <= RANK_CAP:
+        raise ValueError(f"rank {max_rank} is outside 0..{RANK_CAP}")
+    level = [CoxeterSystem.empty()]
+    for k in range(1, max_rank + 1):
+        parents = [s for s in level if filt.extendable(s)]
+        expand = partial(_expand_parent, filt=filt, canonical=canonical_top or k < max_rank)
+        chunks = imap(expand, parents)
+        level = [system_from_code(c) for c in sorted(chain.from_iterable(chunks))]
+        yield k, level
 
 
 def iter_levels(
@@ -613,17 +679,11 @@ def iter_levels(
     that filt.extendable keeps, starting from the empty diagram.  The parents
     of a level are expanded in one call of imap (the builtin map, or a
     worker_map's), so the output never depends on it; their sorted, disjoint
-    chunks are merged.
+    chunks are merged.  Every level, the last included, is canonical; the
+    per-class campaigns read theirs from _levels, whose top level is not.
     Raises ValueError, once iterated, unless 0 <= max_rank <= RANK_CAP.
     """
-    if not 0 <= max_rank <= RANK_CAP:
-        raise ValueError(f"rank {max_rank} is outside 0..{RANK_CAP}")
-    level = [CoxeterSystem.empty()]
-    for k in range(1, max_rank + 1):
-        parents = [s for s in level if filt.extendable(s)]
-        chunks = imap(partial(_expand_parent, filt=filt), parents)
-        level = [system_from_code(c) for c in sorted(chain.from_iterable(chunks))]
-        yield k, level
+    return _levels(filt, max_rank, imap, canonical_top=True)
 
 
 def enumerate_diagrams(

@@ -5,13 +5,18 @@ claim instance by instance, and packs the outcome into a content-addressed
 Report.  A campaign passes only if every instance does; failures carry the
 offending diagrams so they can be replayed by hand.  In affine-criterion and
 engine-agreement a class's row is the names of the per-rank counters it sets,
-and only a failing class also builds its payload.
+and only a failing class also builds its payload.  Their top rank is never
+extended, so it is checked in parent order, with no canonical code; only a
+failing class is re-coded, and its row built on its canonical
+representative.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import CoxeterSystem, is_crystallographic, is_simply_laced
@@ -21,7 +26,14 @@ from .classify import (
     minimal_infinite_subsets,
     signature,
 )
-from .enumeration import EnumFilter, iter_levels, worker_map
+from .enumeration import (
+    EnumFilter,
+    _levels,
+    canonical_code,
+    iter_levels,
+    system_from_code,
+    worker_map,
+)
 from .hyperbolic import check_affine_criterion
 from .report import Report, system_payload
 
@@ -35,23 +47,42 @@ def _sweep(
 ) -> Report:
     """The one-claim report of row over each class filt admits up to
     parameters["max_rank"]: row gives a class's counter names and its failing
-    row or None, and the last counter counts the failures and keys their rows."""
+    row or None, and the last counter counts the failures and keys their rows.
+
+    The top level is never extended, so it holds its classes in parent order
+    (enumeration._levels); every failing row is built on its class's
+    canonical representative, and a level's failing rows are in
+    canonical-code order, as they would be from iter_levels."""
     t0 = time.monotonic()
     per_rank: dict[str, dict[str, int]] = {}
     bad: list[dict] = []
     with worker_map(jobs) as imap:
-        for k, level in iter_levels(filt, parameters["max_rank"], imap):
+        for k, level in _levels(filt, parameters["max_rank"], imap, canonical_top=False):
             counts = dict.fromkeys(counters, 0) | {"classes": len(level)}
-            for names, failing in imap(row, level):
+            failing = []
+            for names, keyed in imap(partial(_canonical_row, row), level):
                 for name in names:
                     counts[name] += 1
-                if failing is not None:
-                    bad.append(failing)
+                if keyed is not None:
+                    failing.append(keyed)
+            bad.extend(r for _, r in sorted(failing, key=itemgetter(0)))
             per_rank[str(k)] = counts
     claims = [{"claim": claim, "passed": not bad, "details": {counters[-1]: bad}}]
     results = {"per_rank": per_rank, "claims": claims}
     duration = time.monotonic() - t0
     return Report(campaign, parameters, results, duration_seconds=duration, jobs=jobs)
+
+
+def _canonical_row(
+    row: Callable, system: CoxeterSystem
+) -> tuple[tuple[str, ...], Optional[tuple[bytes, dict]]]:
+    """row of a class in any vertex order, with a failing row rebuilt on the
+    class's canonical representative and keyed by its canonical code."""
+    names, failing = row(system)
+    if failing is None:
+        return names, None
+    code = canonical_code(system)
+    return names, (code, row(system_from_code(code))[1])
 
 
 def _criterion_row(system: CoxeterSystem) -> tuple[tuple[str, ...], Optional[dict]]:

@@ -39,6 +39,7 @@ from coxtools.enumeration import (
     _enc_label,
     _expand_parent,
     _level_search,
+    _only_twin_swaps,
     _orbits,
     _subset_table,
     _twins,
@@ -906,6 +907,103 @@ def test_least_orders_and_twin_swaps_generate_the_automorphism_group(s):
             p[u], p[v] = v, u
             gens.append(tuple(p))
     assert group_closure(gens, n) == set(automorphisms(s))
+
+
+def check_only_twin_swaps(s: CoxeterSystem) -> bool:
+    # when the skip applies, every automorphism keeps every twin class
+    enc = encode(s)
+    twin_id = _twins(enc)
+    skip = _only_twin_swaps(enc, s.masks, twin_id)
+    if skip:
+        assert all(twin_id[p[u]] == twin_id[u] for p in automorphisms(s) for u in range(s.rank))
+    return skip
+
+
+@given(tied_systems(max_rank=6))
+@settings(max_examples=300)
+def test_only_twin_swaps_leaves_no_other_automorphism(s):
+    check_only_twin_swaps(s)
+
+
+@pytest.mark.parametrize("scope", range(len(EXPANSION_SCOPES)))
+def test_parents_skip_their_level_search_only_without_other_automorphisms(scope):
+    # the oracle parents go up to rank 6, and those of rank 4 and up used to
+    # pay a level search for their least orders; some skip it, some not
+    skips = [check_only_twin_swaps(p) for p in oracle_parents(scope) if p.rank >= 4]
+    assert not skips or 0 < sum(skips) < len(skips)
+
+
+# -- the top level in parent order -----------------------------------------------
+#
+# A per-class campaign never extends its top level, so enumeration._levels
+# can hold it in parent order: the canonical parent with the new vertex last.
+
+TOP_SCOPES = [
+    (EnumFilter(label_set=frozenset({2, 3})), 6),
+    (EnumFilter(label_set=frozenset({2, 3, 4, 6}), k_spherical=3), 5),
+    (EnumFilter(label_set=frozenset({2, 3, INFINITY})), 5),
+]
+TOP_IDS = ["23-r6", "2346-k3-r5", "23inf-r5"]
+
+
+@pytest.mark.parametrize("filt, max_rank", TOP_SCOPES, ids=TOP_IDS)
+def test_top_level_in_parent_order_holds_the_same_classes(filt, max_rank):
+    want = list(iter_levels(filt, max_rank))
+    got = list(enumeration._levels(filt, max_rank, map, canonical_top=False))
+    assert got[:-1] == want[:-1]
+    (k, top), (_, canonical) = got[-1], want[-1]
+    assert k == max_rank
+    codes = sorted(canonical_code(s) for s in top)
+    assert len(set(codes)) == len(codes)
+    assert codes == [canonical_code(s) for s in canonical]
+    # each is a representative of the level below with one vertex added last
+    parents = {s.labels for s in want[-2][1]}
+    assert all(tuple(row[:-1] for row in s.labels[:-1]) in parents for s in top)
+    assert any(s != system_from_code(canonical_code(s)) for s in top)
+
+
+def has_non_twin_tie(s: CoxeterSystem, v: int, connected_only: bool) -> bool:
+    """Whether an eligible vertex outside v's twin class has v's degree and
+    sorted (encoded label, neighbour degree) pairs."""
+    n = s.rank
+    deg = [sum(1 for w in range(n) if w != u and s.labels[u][w] != 2) for u in range(n)]
+
+    def invariant(u):
+        pairs = [(_enc_label(s.labels[u][w]), deg[w]) for w in range(n) if w != u]
+        return deg[u], sorted(p for p in pairs if p[0] != 2)
+
+    def eligible(u):
+        return not connected_only or is_connected(restrict(s, [w for w in range(n) if w != u]))
+
+    def twin(u):
+        return all(s.labels[u][w] == s.labels[v][w] for w in range(n) if w not in (u, v))
+
+    return any(
+        u != v and invariant(u) == invariant(v) and eligible(u) and not twin(u)
+        for u in range(n)
+    )
+
+
+@pytest.mark.parametrize("filt, max_rank", TOP_SCOPES, ids=TOP_IDS)
+def test_top_level_searches_only_to_settle_a_non_twin_tie(filt, max_rank, monkeypatch):
+    # a search on max_rank vertices is one of a top-level child; every other
+    # search is of a lower child or of a parent
+    searched = []
+    real = enumeration._level_search
+
+    def spy(enc, twin_id, with_orders=False):
+        if len(enc) == max_rank:
+            searched.append((enc, with_orders))
+        return real(enc, twin_id, with_orders)
+
+    monkeypatch.setattr(enumeration, "_level_search", spy)
+    top = list(enumeration._levels(filt, max_rank, map, canonical_top=False))[-1][1]
+    assert 0 < len(searched) < len(top)
+    for enc, with_orders in searched:
+        s = CoxeterSystem.from_rows(
+            [[1 if c == 0 else INFINITY if c == 0xFFFF else c for c in row] for row in enc]
+        )
+        assert with_orders and has_non_twin_tie(s, max_rank - 1, filt.connected_only)
 
 
 @st.composite

@@ -13,10 +13,12 @@ from coxtools import (
     verify_engine_agreement,
     verify_size_bounds,
 )
-from coxtools import enumeration, experiments
-from coxtools.classify import Signature
+from coxtools import canonical_code, enumeration, experiments
+from coxtools.classify import Signature, signature
+from coxtools.hyperbolic import check_affine_criterion
 from coxtools.report import TOOL_VERSION, system_payload
 from coxtools.catalog import affine_G2
+from conftest import edges_to_system
 
 
 def test_report_hash_ignores_timing_and_jobs():
@@ -140,35 +142,38 @@ def test_campaigns_are_deterministic_across_jobs():
 
 # -- failing classes -------------------------------------------------------------
 #
-# Each campaign is made to fail on one chosen rank-4 class of {2,3}: the
-# engine-agreement one by a wrong signature for D4, the affine-criterion one
-# by an inconsistent check for ~A3.  The patch is in place before the pool
-# forks, so the workers see it too.
+# Each campaign is made to fail on chosen classes of {2,3}: the
+# engine-agreement one by a signature with every negative square made
+# positive and one positive square made zero, the affine-criterion one by an
+# inconsistent check.  The patch is in
+# place before the pool forks, so the workers see it too.  The first test
+# fails the rank-4 class D4 or ~A3, picked by payload.
 
 D4 = {"rank": 4, "edges": [[0, 3, 3], [1, 3, 3], [2, 3, 3]]}
 AFFINE_A3 = {"rank": 4, "edges": [[0, 2, 3], [0, 3, 3], [1, 2, 3], [1, 3, 3]]}
 
 
-def _failing_agreement(monkeypatch, jobs):
-    real = experiments.signature
+def _failing_agreement(monkeypatch, jobs, chosen):
+    real = signature
 
-    def wrong_for_d4(system):
-        return Signature(3, 1, 0) if system_payload(system) == D4 else real(system)
+    def wrong_when_chosen(system):
+        sig = real(system)
+        if not chosen(system):
+            return sig
+        return Signature(sig.n_plus + sig.n_minus - 1, sig.n_zero + 1, 0)
 
-    monkeypatch.setattr(experiments, "signature", wrong_for_d4)
+    monkeypatch.setattr(experiments, "signature", wrong_when_chosen)
     return verify_engine_agreement(5, frozenset({2, 3}), jobs=jobs)
 
 
-def _failing_criterion(monkeypatch, jobs):
-    real = experiments.check_affine_criterion
+def _failing_criterion(monkeypatch, jobs, chosen):
+    real = check_affine_criterion
 
-    def inconsistent_for_affine_a3(system):
+    def inconsistent_when_chosen(system):
         chk = real(system)
-        if system_payload(system) == AFFINE_A3:
-            return replace(chk, consistent=False)
-        return chk
+        return replace(chk, consistent=False) if chosen(system) else chk
 
-    monkeypatch.setattr(experiments, "check_affine_criterion", inconsistent_for_affine_a3)
+    monkeypatch.setattr(experiments, "check_affine_criterion", inconsistent_when_chosen)
     return verify_affine_criterion("simply-laced", 5, jobs=jobs)
 
 
@@ -176,11 +181,13 @@ FAILING_SCOPES = {
     "engine-agreement": (
         _failing_agreement,
         "disagreements",
+        D4,
         {"system": D4, "pattern": "D4", "signature": [3, 1, 0], "agree": False},
     ),
     "affine-criterion": (
         _failing_criterion,
         "inconsistent",
+        AFFINE_A3,
         {
             "system": AFFINE_A3,
             "in_hypothesis": True,
@@ -194,15 +201,80 @@ FAILING_SCOPES = {
 
 @pytest.mark.parametrize("campaign", sorted(FAILING_SCOPES))
 def test_one_failing_class_fails_the_campaign(campaign, monkeypatch):
-    run, counter, row = FAILING_SCOPES[campaign]
+    run, counter, chosen, row = FAILING_SCOPES[campaign]
     texts = []
     for jobs in (1, 2):
-        rep = run(monkeypatch, jobs)
+        rep = run(monkeypatch, jobs, lambda system: system_payload(system) == chosen)
         assert not rep.passed()
         per = rep.results["per_rank"]
         assert [per[str(k)][counter] for k in range(1, 6)] == [0, 0, 0, 1, 0]
         (claim,) = rep.results["claims"]
         assert claim["details"] == {counter: [row]}
+        texts.append(rep.canonical_json())
+    assert texts[0] == texts[1]
+
+
+# The same for three classes of rank 5, the top rank, which the sweep holds
+# in parent order: they are picked by canonical code, so the patch fails them
+# in any vertex order, and in parent order the third comes before the second.
+# Their rows, in canonical-code order on canonical representatives, and the
+# content hashes were read from sweeps whose top rank was canonical, as
+# iter_levels gives it.
+
+AFFINE_D4 = {"rank": 5, "edges": [[0, 4, 3], [1, 4, 3], [2, 4, 3], [3, 4, 3]]}
+D5 = {"rank": 5, "edges": [[0, 4, 3], [1, 4, 3], [2, 3, 3], [3, 4, 3]]}
+TRIANGLE_TWO_LEAVES = {"rank": 5, "edges": [[0, 4, 3], [1, 4, 3], [2, 3, 3], [2, 4, 3], [3, 4, 3]]}
+TOP_CHOSEN = {
+    canonical_code(edges_to_system(p["rank"], p["edges"]))
+    for p in (AFFINE_D4, D5, TRIANGLE_TWO_LEAVES)
+}
+
+TOP_FAILING = {
+    "engine-agreement": (
+        [
+            {"system": AFFINE_D4, "pattern": "~D4", "signature": [3, 2, 0], "agree": False},
+            {"system": D5, "pattern": "D5", "signature": [4, 1, 0], "agree": False},
+            {
+                "system": TRIANGLE_TWO_LEAVES,
+                "pattern": "indefinite",
+                "signature": [4, 1, 0],
+                "agree": False,
+            },
+        ],
+        "6c981270ba701967ff3952e9fd7e3a59f6422d78d7d1ad64775decec4d2c4ba6",
+    ),
+    "affine-criterion": (
+        [
+            {
+                "system": system,
+                "in_hypothesis": True,
+                "hyperbolic": hyperbolic,
+                "has_affine": not hyperbolic,
+                "consistent": False,
+            }
+            for system, hyperbolic in (
+                (AFFINE_D4, False), (D5, True), (TRIANGLE_TWO_LEAVES, False)
+            )
+        ],
+        "358917af69c677449770cf8af89b7ee0149df4c2ed5f1327833e522803f483c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(FAILING_SCOPES))
+def test_failing_top_rank_classes_are_reported_on_canonical_representatives(
+    campaign, monkeypatch
+):
+    run, counter, _, _ = FAILING_SCOPES[campaign]
+    rows, pinned = TOP_FAILING[campaign]
+    texts = []
+    for jobs in (1, 2):
+        rep = run(monkeypatch, jobs, lambda system: canonical_code(system) in TOP_CHOSEN)
+        per = rep.results["per_rank"]
+        assert [per[str(k)][counter] for k in range(1, 6)] == [0, 0, 0, 0, 3]
+        (claim,) = rep.results["claims"]
+        assert not claim["passed"] and claim["details"] == {counter: rows}
+        assert rep.content_hash() == pinned
         texts.append(rep.canonical_json())
     assert texts[0] == texts[1]
 
